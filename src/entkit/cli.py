@@ -90,11 +90,6 @@ class AnalysisRequest:
     options: dict
 
 
-def parse_state_file(path) -> PureState:
-    """Load and normalize a state file (format owned by the states module)."""
-    return read_state_file(path)
-
-
 def _load_state(options) -> PureState:
     path = options.get("state")
     if not path:
@@ -135,7 +130,7 @@ def _cmd_analyze(options) -> Report:
     state = _load_state(options)
     if state.dims != (2, 2, 2):
         raise ValueError("analyze expects a three-qubit state")
-    tol = options.get("tol") or inv.DET3_CLASS_TOL
+    tol = options.get("tol", inv.DET3_CLASS_TOL)
     _add_normalization(report, state)
     li = inv.lu_invariants(state)
     for key, val in [("I1", li.i1), ("I2", li.i2), ("I3", li.i3),
@@ -172,7 +167,7 @@ def _cmd_classify(options) -> Report:
     state = _load_state(options)
     if state.dims != (2, 2, 2):
         raise ValueError("classify expects a three-qubit state")
-    tol = options.get("tol") or inv.DET3_CLASS_TOL
+    tol = options.get("tol", inv.DET3_CLASS_TOL)
     _add_normalization(report, state)
     _classification_entries(report, state, tol)
     return report
@@ -181,7 +176,7 @@ def _cmd_classify(options) -> Report:
 def _cmd_polytope(options) -> Report:
     report = Report(command="polytope")
     state = _load_state(options)
-    tol = options.get("tol") or poly.SLACK_TOL
+    tol = options.get("tol", poly.SLACK_TOL)
     _add_normalization(report, state)
     spectra = poly.local_spectra(state)
     for k, lam in enumerate(spectra.lambdas, start=1):
@@ -203,9 +198,9 @@ def _cmd_polytope(options) -> Report:
 def _cmd_uniformity(options) -> Report:
     report = Report(command="uniformity")
     state = _load_state(options)
-    tol = options.get("tol") or uni.KUNIFORM_TOL
+    tol = options.get("tol", uni.KUNIFORM_TOL)
     _add_normalization(report, state)
-    kmax = options.get("max_k") or state.num_sites // 2
+    kmax = options.get("max_k", state.num_sites // 2)
     kmax = min(kmax, state.num_sites // 2)
     for k in range(1, kmax + 1):
         report.add(f"Q{k}", uni.q_measure(state, k))
@@ -218,7 +213,7 @@ def _cmd_uniformity(options) -> Report:
 def _cmd_stellar(options) -> Report:
     report = Report(command="stellar")
     state = _load_state(options)
-    tol = options.get("tol") or stell.DEGENERACY_TOL
+    tol = options.get("tol", stell.DEGENERACY_TOL)
     _add_normalization(report, state)
     sym = stell.symmetric_from_pure(state)
     con = stell.to_constellation(sym)
@@ -280,7 +275,7 @@ def _cmd_codes_kl(options) -> Report:
     w = options.get("weight")
     if w is None:
         raise ValueError("--weight W is required")
-    tol = options.get("tol") or codes_mod.KL_TOL
+    tol = options.get("tol", codes_mod.KL_TOL)
     res = codes_mod.knill_laflamme_check(state, int(w), tol)
     report.add("weight", res.weight)
     report.add("num_errors", res.num_errors)
@@ -315,7 +310,7 @@ def _cmd_mps_compress(options) -> Report:
 
 def _cmd_mps_dmrg(options) -> Report:
     report = Report(command="mps dmrg")
-    model = options.get("model") or "ising"
+    model = options.get("model", "ising")
     sites = options.get("sites")
     bond = options.get("max_bond")
     seed = options.get("seed")
@@ -324,16 +319,16 @@ def _cmd_mps_dmrg(options) -> Report:
     if seed is None:
         raise ValueError("--seed is required for stochastic commands")
     if model == "ising":
-        ham = mps_mod.ising_hamiltonian(int(sites), float(options.get("g") or 0.0))
+        ham = mps_mod.ising_hamiltonian(int(sites), float(options.get("g", 0.0)))
     elif model == "heisenberg":
         ham = mps_mod.heisenberg_hamiltonian(int(sites))
     else:
         raise ValueError(f"unknown model {model!r}")
-    tol = options.get("tol") or 1e-10
+    tol = options.get("tol", 1e-10)
     res = mps_mod.dmrg_ground_state(ham, int(bond), tol=tol, seed=int(seed))
     report.add("model", model)
     if model == "ising":
-        report.add("g", float(options.get("g") or 0.0))
+        report.add("g", float(options.get("g", 0.0)))
     report.add("sites", int(sites))
     report.add("bond", int(bond))
     report.add("energy", res.energy)
@@ -369,9 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entkit",
         description="Multipartite entanglement analysis toolbox")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="upper bound on worker threads (computation is "
-                             "deterministic regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seed=False):
@@ -419,6 +411,7 @@ def main(argv=None) -> int:
     command = args.command
     if getattr(args, "subcommand", None):
         command = f"{command} {args.subcommand}"
+    # unset flags are dropped, so options.get(key, default) keeps a given 0
     options = {k: v for k, v in vars(args).items()
                if k not in ("command", "subcommand") and v is not None}
     try:

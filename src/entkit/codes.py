@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .states import PureState
+from .states import FormatError, PureState, _int, _records
 from .uniformity import PauliString, apply_pauli_string
 
 KL_TOL = 1e-9
@@ -181,24 +181,27 @@ def syndrome_decode_weight1(code: LinearCode, received) -> DecodeResult:
 
 def read_code_file(path) -> LinearCode:
     """Load a code from text: 'n k' header, then k generator rows as bitstrings."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.split("#")[0].strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise CodeError("empty code file")
-    try:
-        n, k = (int(x) for x in lines[0].split())
-    except ValueError:
-        raise CodeError("header must be 'n k'") from None
-    if len(lines) != 1 + k:
-        raise CodeError(f"expected {k} generator rows, got {len(lines) - 1}")
+    n = k = None
     rows = []
-    for ln in lines[1:]:
-        bits = _as_bits(ln)
-        if len(bits) != n:
-            raise CodeError(f"row {ln!r} does not have length {n}")
-        rows.append(bits)
-    return LinearCode.from_generator(np.array(rows))
+    for lineno, fields in _records(path):
+        if n is None:
+            if len(fields) != 2:
+                raise FormatError("header must be 'n k'", lineno)
+            n, k = _int(fields[0], lineno), _int(fields[1], lineno)
+            if not 0 <= k <= n or n < 1:
+                raise FormatError(f"header needs 0 <= k <= n and n >= 1, got {n} {k}", lineno)
+            continue
+        if len(rows) == k:
+            raise FormatError(f"more than {k} generator rows", lineno)
+        row = fields[0]
+        if len(fields) != 1 or len(row) != n or not set(row) <= {"0", "1"}:
+            raise FormatError(f"row {' '.join(fields)!r} is not a bitstring of length {n}", lineno)
+        rows.append([int(c) for c in row])
+    if n is None:
+        raise FormatError("empty code file")
+    if len(rows) != k:
+        raise FormatError(f"expected {k} generator rows, got {len(rows)}")
+    return LinearCode.from_generator(np.array(rows, dtype=np.int64).reshape(k, n))
 
 
 # ---------------------------------------------------------------------------

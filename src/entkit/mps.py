@@ -17,14 +17,15 @@ Bond k (0-based, k = 0..K-2) sits between sites k and k+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .states import PureState, new_state, page_expected_entropy
+from .states import (DENSE_GUARD, FormatError, PureState, _float, _int, _records,
+                     new_state, page_expected_entropy)
 
 CANONICAL_TOL = 1e-10
 RANK_RTOL = 1e-12          # relative singular-value cutoff for exact ranks
-DENSE_GUARD = 2 ** 24      # refuse densification beyond this many amplitudes
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,42 +370,49 @@ def write_mps_file(path, mps: MpsState) -> None:
 
 
 def read_mps_file(path) -> MpsState:
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = []
-        for line in fh:
-            body = line.split("#")[0]
-            tokens.extend(body.split())
-    pos = 0
+    """Parse the MPS text format; raises FormatError with a line number on bad input."""
+    records = _records(path)
 
-    def take(count):
-        nonlocal pos
-        if pos + count > len(tokens):
-            raise ValueError("truncated MPS file")
-        out = tokens[pos:pos + count]
-        pos += count
-        return out
+    def values(count, width, what):
+        """The next count records, each of width fields."""
+        taken = 0
+        for lineno, fields in islice(records, count):
+            if len(fields) != width:
+                raise FormatError(f"expected {what}", lineno)
+            taken += 1
+            yield lineno, fields
+        if taken < count:
+            raise FormatError(f"file ends before {what}")
 
-    head = take(4)
-    if head[0] != "mps":
-        raise ValueError("missing 'mps' header")
-    K, n, boundary = int(head[1]), int(head[2]), head[3]
+    lineno, (tag, K, n, boundary) = next(values(1, 4, "'mps K N boundary' header"))
+    K, n = _int(K, lineno), _int(n, lineno)
+    if tag != "mps" or K < 1 or n < 1 or boundary not in ("open", "periodic"):
+        raise FormatError("expected 'mps K N open|periodic' with K, N >= 1", lineno)
     tensors = []
-    spectra = []
+    edge = 1 if boundary == "open" else None   # r_0 = r_K; site 1 sets it when periodic
     for k in range(1, K + 1):
-        tag, idx, rl, rr = take(4)
-        if tag != "site" or int(idx) != k:
-            raise ValueError(f"expected 'site {k}' record")
-        rl, rr = int(rl), int(rr)
-        flat = take(2 * rl * n * rr)
-        vals = np.array([complex(float(flat[2 * i]), float(flat[2 * i + 1]))
-                         for i in range(rl * n * rr)])
-        tensors.append(vals.reshape(rl, n, rr))
-    while pos < len(tokens):
-        tag, idx = take(2)
-        if tag != "bond":
-            raise ValueError(f"unexpected record {tag!r}")
-        rank = tensors[int(idx) - 1].shape[2]
-        spectra.append(np.array([float(x) for x in take(rank)]))
+        lineno, (tag, idx, rl, rr) = next(values(1, 4, f"'site {k} r_left r_right'"))
+        if tag != "site" or idx != str(k):
+            raise FormatError(f"expected 'site {k} r_left r_right'", lineno)
+        rl, rr = _int(rl, lineno), _int(rr, lineno)
+        if edge is None:
+            edge = rl
+        left = tensors[-1].shape[2] if tensors else edge
+        if rl < 1 or rr < 1 or rl != left or (k == K and rr != edge):
+            raise FormatError(f"site {k} bonds {rl} {rr} do not chain "
+                              f"(r_left must be {left}, r_K must be {edge})", lineno)
+        vals = [complex(_float(re, i), _float(im, i))
+                for i, (re, im) in values(rl * n * rr, 2, f"'re im' values of site {k}")]
+        tensors.append(np.array(vals, dtype=complex).reshape(rl, n, rr))
+    spectra = []
+    for lineno, fields in records:
+        k = len(spectra) + 1
+        if k >= K or fields != ["bond", str(k)]:
+            raise FormatError(f"expected 'bond {k}' record" if k < K else "unexpected record", lineno)
+        spectra.append(np.array([_float(x, i) for i, (x,) in values(
+            tensors[k - 1].shape[2], 1, f"Schmidt weights of bond {k}")]))
+    if 0 < len(spectra) < K - 1:
+        raise FormatError(f"missing bond records: expected {K - 1}, found {len(spectra)}")
     return MpsState(tensors=_freeze(tensors), boundary=boundary,
                     spectra=tuple(spectra) if spectra else None)
 

@@ -16,26 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
-NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-ORTHONORMALITY_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 RANK_RTOL = 1e-10  # a Schmidt coefficient counts toward the rank above RANK_RTOL * max
-
-
-class StateFormatError(ValueError):
-    """Malformed state file; carries the offending 1-based line number."""
-
-    def __init__(self, message, lineno=None):
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
-        self.lineno = lineno
+DENSE_GUARD = 2 ** 24  # refuse dense states beyond this many amplitudes
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,13 +315,6 @@ def spectra_report(dm: DensityMatrix) -> SpectraReport:
                          linear_entropy=1.0 - purity, purity=purity)
 
 
-def bipartite_entropy(state: PureState, bipartition: Bipartition) -> float:
-    """Von Neumann entropy of either reduction across the bipartition."""
-    dec = schmidt(state, bipartition)
-    lam = dec.lambdas[dec.lambdas > 0]
-    return float(-(lam * np.log(lam)).sum())
-
-
 def random_state(dims, seed) -> PureState:
     """Fubini-Study-uniform sample: i.i.d. complex Gaussian amplitudes, normalized."""
     dims = tuple(int(d) for d in dims)
@@ -340,18 +322,6 @@ def random_state(dims, seed) -> PureState:
     n = int(np.prod(dims))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return new_state(dims, v)
-
-
-def random_states(dims, count: int, seed) -> list:
-    """Batch of independent Fubini-Study samples from one seeded generator."""
-    dims = tuple(int(d) for d in dims)
-    rng = np.random.default_rng(seed)
-    n = int(np.prod(dims))
-    out = []
-    for _ in range(count):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        out.append(new_state(dims, v))
-    return out
 
 
 def page_expected_entropy(size_x: int, size_xbar: int, local_dim: int) -> float:
@@ -377,76 +347,106 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# State file format (shared by all modules and the CLI):
-#   line 1:  dims d1 d2 ... dK
-#   then:    <basis-string> <real> <imag>     (omitted strings are zero)
-#   '#' starts a comment; the loader normalizes.
+# Text formats.  Every reader in the package (state, MPS, code and
+# constellation files) takes its lines from _records and raises FormatError:
+# '#' starts a comment, blank lines are skipped, fields are whitespace-split.
 # ---------------------------------------------------------------------------
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
+class FormatError(ValueError):
+    """Malformed text file; carries the offending 1-based line number, if any."""
+
+    def __init__(self, message, lineno=None):
+        if lineno is not None:
+            message = f"line {lineno}: {message}"
+        super().__init__(message)
+        self.lineno = lineno
+
+
+def _records(path):
+    """Yield (lineno, fields) for each non-blank line, '#' comments removed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.split("#", 1)[0].split()
+                if fields:
+                    yield lineno, fields
+        except UnicodeDecodeError:
+            raise FormatError("file is not UTF-8 text") from None
+
+
+def _int(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"non-integer field {text!r}", lineno) from None
+
+
+def _float(text: str, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(f"non-numeric or non-finite field {text!r}", lineno)
+    return value
+
+
+# State file format (shared by all modules and the CLI):
+#   line 1:  dims d1 d2 ... dK
+#   then:    <basis-label> <real> <imag>     (omitted labels are zero)
+# A basis label is K digits ("0120") or K comma-separated integers ("10,1");
+# the writer uses the second form only when some d > 10.  The loader normalizes.
+
+def _basis_index(label: str, dims: tuple, lineno: int) -> int:
+    # a one-site label is a single integer in either form
+    digits = label.split(",") if "," in label or len(dims) == 1 else label
+    if (len(digits) != len(dims) or not label.isascii()
+            or not all(map(str.isdigit, digits))):
+        raise FormatError(f"basis string {label!r} must have {len(dims)} digits", lineno)
+    idx = 0
+    for d, n in zip(map(int, digits), dims):
+        if d >= n:
+            raise FormatError(f"digit {d} out of range for local dimension {n}", lineno)
+        idx = idx * n + d
+    return idx
 
 
 def read_state_file(path) -> PureState:
-    """Parse a state file; raises StateFormatError with a line number on bad input."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    dims = None
-    amps = None
-    seen = set()
-    for lineno, raw in enumerate(lines, start=1):
-        text = _strip_comment(raw).strip()
-        if not text:
-            continue
-        fields = text.split()
+    """Parse a state file; raises FormatError with a line number on bad input."""
+    dims = amps = seen = None
+    for lineno, fields in _records(path):
         if dims is None:
             if fields[0] != "dims":
-                raise StateFormatError("first non-comment line must start with 'dims'", lineno)
-            try:
-                dims = tuple(int(x) for x in fields[1:])
-            except ValueError:
-                raise StateFormatError("non-integer dimension", lineno) from None
+                raise FormatError("first non-comment line must start with 'dims'", lineno)
+            dims = tuple(_int(x, lineno) for x in fields[1:])
             if not dims or any(d < 2 for d in dims):
-                raise StateFormatError("dims must list integers >= 2", lineno)
-            amps = np.zeros(int(np.prod(dims)), dtype=complex)
+                raise FormatError("dims must list integers >= 2", lineno)
+            if math.prod(dims) > DENSE_GUARD:
+                raise FormatError(f"dims {dims} exceed {DENSE_GUARD} amplitudes", lineno)
+            amps = np.zeros(math.prod(dims), dtype=complex)
+            seen = bytearray(amps.size)
             continue
         if len(fields) != 3:
-            raise StateFormatError(f"expected 'basis re im', got {len(fields)} fields", lineno)
-        digit_str, re_s, im_s = fields
-        if len(digit_str) != len(dims) or not digit_str.isdigit():
-            raise StateFormatError(f"basis string {digit_str!r} must have {len(dims)} digits", lineno)
-        digits = [int(c) for c in digit_str]
-        for d, n in zip(digits, dims):
-            if d >= n:
-                raise StateFormatError(f"digit {d} out of range for local dimension {n}", lineno)
-        if digit_str in seen:
-            raise StateFormatError(f"duplicate basis string {digit_str!r}", lineno)
-        seen.add(digit_str)
-        try:
-            val = complex(float(re_s), float(im_s))
-        except ValueError:
-            raise StateFormatError("amplitude fields must be numbers", lineno) from None
-        amps[basis_index(dims, digits)] = val
+            raise FormatError(f"expected 'basis re im', got {len(fields)} fields", lineno)
+        label, re_s, im_s = fields
+        idx = _basis_index(label, dims, lineno)
+        if seen[idx]:
+            raise FormatError(f"duplicate basis string {label!r}", lineno)
+        seen[idx] = 1
+        amps[idx] = complex(_float(re_s, lineno), _float(im_s, lineno))
     if dims is None:
-        raise StateFormatError("no 'dims' line found")
-    if amps is None or not np.any(amps):
-        raise StateFormatError("zero vector: no non-zero amplitudes given")
+        raise FormatError("no 'dims' line found")
+    if not np.any(amps):
+        raise FormatError("zero vector: no non-zero amplitudes given")
     return new_state(dims, amps)
 
 
 def write_state_file(path, state: PureState, threshold: float = 0.0) -> None:
     """Write a state in the text format; amplitudes with |a| <= threshold are omitted."""
     dims = state.dims
+    sep = "," if max(dims) > 10 else ""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("dims " + " ".join(str(d) for d in dims) + "\n")
-        for idx, a in enumerate(state.amps):
-            if abs(a) <= threshold:
-                continue
-            digits = []
-            rem = idx
-            for d in reversed(dims):
-                digits.append(rem % d)
-                rem //= d
-            label = "".join(str(x) for x in reversed(digits))
-            fh.write(f"{label} {float(a.real)!r} {float(a.imag)!r}\n")
+        labelled = zip(product(*map(range, dims)), state.amps)
+        for digits, a in compress(labelled, np.abs(state.amps) > threshold):
+            fh.write(f"{sep.join(map(str, digits))} {float(a.real)!r} {float(a.imag)!r}\n")

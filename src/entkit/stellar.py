@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .states import PureState, new_state
+from .states import FormatError, PureState, _float, _records, new_state
 
 INF = complex(math.inf, 0.0)
 
@@ -550,25 +550,19 @@ def write_constellation_file(path, constellation: Constellation) -> None:
 
 
 def read_constellation_file(path, expected_count: int | None = None) -> Constellation:
+    """Parse lines 'star re im' or 'star inf'; raises FormatError on bad input."""
     finite = []
     inf_count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#")[0].strip()
-            if not text:
-                continue
-            fields = text.split()
-            if fields[0] != "star":
-                raise ValueError(f"line {lineno}: expected a 'star' record")
-            if fields[1:] == ["inf"]:
-                inf_count += 1
-            elif len(fields) == 3:
-                finite.append(complex(float(fields[1]), float(fields[2])))
-            else:
-                raise ValueError(f"line {lineno}: expected 're im' or 'inf'")
+    for lineno, fields in _records(path):
+        if fields == ["star", "inf"]:
+            inf_count += 1
+        elif len(fields) == 3 and fields[0] == "star":
+            finite.append(complex(_float(fields[1], lineno), _float(fields[2], lineno)))
+        else:
+            raise FormatError("expected 'star re im' or 'star inf'", lineno)
     total = len(finite) + inf_count
     if expected_count is not None and total != expected_count:
-        raise ValueError(f"expected {expected_count} stars, found {total}")
+        raise FormatError(f"expected {expected_count} stars, found {total}")
     arr = np.array(sorted(finite, key=lambda z: (z.real, z.imag)), dtype=complex)
     arr.setflags(write=False)
     return Constellation(finite_stars=arr, inf_count=inf_count)

@@ -193,3 +193,36 @@ def test_malformed_file_reports_line(tmp_path, capsys):
     path = _write(tmp_path, "bad.state", "dims 2 2\n31 1 0\n")
     assert cli.main(["analyze", "--state", path]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_tol_zero_reaches_module(tmp_path, capsys, monkeypatch):
+    seen = []
+    classify = cli.inv.slocc_classify3
+    monkeypatch.setattr(cli.inv, "slocc_classify3",
+                        lambda state, tol: seen.append(tol) or classify(state, tol))
+    path = _write(tmp_path, "ghz.state", GHZ3)
+    code, lines, _ = _run(["classify", "--state", path, "--tol", "0"], capsys)
+    assert code == 0
+    assert seen == [0.0]
+    assert lines["det3_abs"].endswith("# class threshold 0")
+
+
+def test_max_k_zero_emits_no_q_lines(tmp_path, capsys):
+    path = str(tmp_path / "ame43.state")
+    st.write_state_file(path, un.ame43_state())
+    code, lines, _ = _run(["uniformity", "--state", path, "--max-k", "0"], capsys)
+    assert code == 0
+    assert not any(key.startswith("Q") for key in lines)
+    assert _value(lines, "k_uniform") == "2"
+
+
+@pytest.mark.parametrize("argv, name, body, message", [
+    (["codes", "demo", "--code"], "bad.code", "7 4\n1000011\n01x0101\n",
+     "line 3: row '01x0101' is not a bitstring of length 7"),
+    (["analyze", "--state"], "empty.state", "# no dims\n", "no 'dims' line found"),
+    (["analyze", "--state"], "zero.state", "dims 2 2 2\n000 0 0\n",
+     "zero vector: no non-zero amplitudes given"),
+])
+def test_format_errors_are_one_line(tmp_path, capsys, argv, name, body, message):
+    assert cli.main(argv + [_write(tmp_path, name, body)]) == 1
+    assert capsys.readouterr().err == f"entkit: error: {message}\n"

@@ -144,3 +144,19 @@ def test_kl_pair_count_guard():
     s = st.basis_state((2,) * 14, "0" * 14)
     with pytest.raises(ValueError, match="guard"):
         cd.knill_laflamme_check(s, 3)
+
+
+def test_code_file_errors_carry_line_numbers(tmp_path):
+    path = tmp_path / "bad.code"
+    for body, match in [("7 four\n", "line 1: non-integer"),
+                        ("3 1\n# generator\n1021\n", "line 3: row '1021'"),
+                        ("3 1\n101\n110\n", "line 3: more than 1"),
+                        ("3 2\n101\n", "^expected 2 generator rows, got 1$"),
+                        ("# nothing\n", "^empty code file$"),
+                        ("2 3\n", "line 1: header")]:
+        path.write_text(body)
+        with pytest.raises(st.FormatError, match=match):
+            cd.read_code_file(path)
+    path.write_text("3 2\n101\n101\n")
+    with pytest.raises(cd.CodeError, match="dependent"):
+        cd.read_code_file(path)

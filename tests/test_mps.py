@@ -325,3 +325,49 @@ def test_mps_file_round_trip(tmp_path):
     assert abs(abs(mp.overlap(m, back)) - 1) < 1e-10
     assert back.spectra is not None
     assert np.abs(np.asarray(back.spectra[3]) - np.asarray(m.spectra[3])).max() < 1e-15
+
+
+def _mps_lines(tmp_path, num_sites=4):
+    m = mp.from_dense(st.random_state((2,) * num_sites, 8))
+    path = tmp_path / "state.mps"
+    mp.write_mps_file(path, m)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def test_mps_file_rejects_bonds_out_of_order(tmp_path):
+    path, lines = _mps_lines(tmp_path)   # bond ranks 2, 4, 2
+    b1, b3 = lines.index("bond 1\n"), lines.index("bond 3\n")
+    lines[b1], lines[b3] = "bond 3\n", "bond 1\n"
+    path.write_text("".join(lines))
+    with pytest.raises(st.FormatError, match=f"line {b1 + 1}: expected 'bond 1'"):
+        mp.read_mps_file(path)
+
+
+def test_mps_file_rejects_duplicate_bond(tmp_path):
+    path, lines = _mps_lines(tmp_path)
+    b3 = lines.index("bond 3\n")
+    lines[b3] = "bond 1\n"
+    path.write_text("".join(lines))
+    with pytest.raises(st.FormatError, match=f"line {b3 + 1}: expected 'bond 3'"):
+        mp.read_mps_file(path)
+
+
+def test_mps_file_rejects_missing_bonds(tmp_path):
+    path, lines = _mps_lines(tmp_path)
+    path.write_text("".join(lines[:lines.index("bond 2\n")]))
+    with pytest.raises(st.FormatError, match="^missing bond records: expected 3, found 1$"):
+        mp.read_mps_file(path)
+
+
+def test_mps_file_errors_carry_line_numbers(tmp_path):
+    path = tmp_path / "bad.mps"
+    for body, match in [("mps 2 2 open\nsite 1 two 2\n", "line 2: non-integer"),
+                        ("mps 2 2 open\nsite 1 1 1\n1 0\n0 x\n", "line 4: non-numeric"),
+                        ("mps 1 2 open\nsite 1 1 1\n1 0\n", "^file ends before"),
+                        ("mps 2 2 open\nsite 1 1 2\n" + "1 0\n" * 4 + "site 2 1 1\n",
+                         "line 7: site 2 bonds"),
+                        ("mps 1 2 sideways\n", "line 1: expected 'mps K N"),
+                        ("mps 1 2 open\nsite 1 1 1\n1 0\n0 0\nbond 1\n", "line 5: unexpected")]:
+        path.write_text(body)
+        with pytest.raises(st.FormatError, match=match):
+            mp.read_mps_file(path)

@@ -263,21 +263,21 @@ def test_state_file_ghz(tmp_path):
 def test_state_file_comments_only_is_zero_vector(tmp_path):
     path = tmp_path / "empty.state"
     path.write_text("dims 2 2\n# nothing here\n")
-    with pytest.raises(st.StateFormatError, match="zero vector"):
+    with pytest.raises(st.FormatError, match="zero vector"):
         st.read_state_file(path)
 
 
 def test_state_file_digit_out_of_range(tmp_path):
     path = tmp_path / "bad.state"
     path.write_text("dims 2 2 2\n112 1 0\n")
-    with pytest.raises(st.StateFormatError, match="line 2"):
+    with pytest.raises(st.FormatError, match="line 2"):
         st.read_state_file(path)
 
 
 def test_state_file_duplicate_basis_string(tmp_path):
     path = tmp_path / "dup.state"
     path.write_text("dims 2 2\n00 1 0\n00 0 1\n")
-    with pytest.raises(st.StateFormatError, match="duplicate"):
+    with pytest.raises(st.FormatError, match="duplicate"):
         st.read_state_file(path)
 
 
@@ -297,7 +297,7 @@ def test_state_file_rejects_garbage(tmp_path):
                         ("dims 1 2\n00 1 0\n", ">= 2")]:
         path = tmp_path / "bad.state"
         path.write_text(body)
-        with pytest.raises(st.StateFormatError, match=match):
+        with pytest.raises(st.FormatError, match=match):
             st.read_state_file(path)
 
 
@@ -307,3 +307,51 @@ def test_state_file_round_trip(tmp_path):
     st.write_state_file(path, s)
     back = st.read_state_file(path)
     assert np.abs(back.amps - s.amps).max() < 1e-15
+
+
+@pytest.mark.parametrize("dims", [(11, 2), (12, 3)])
+def test_state_file_round_trip_large_local_dims(tmp_path, dims):
+    s = st.random_state(dims, 3)
+    path = tmp_path / "big.state"
+    st.write_state_file(path, s)
+    assert "10,1 " in path.read_text()
+    back = st.read_state_file(path)
+    assert back.dims == dims
+    assert np.abs(back.amps - s.amps).max() < 1e-15
+
+
+def test_state_file_compact_labels_up_to_ten(tmp_path):
+    path = tmp_path / "ten.state"
+    st.write_state_file(path, st.basis_state((10, 2), [9, 1]))
+    assert path.read_text() == "dims 10 2\n91 1.0 0.0\n"
+
+
+def test_state_file_accepts_both_label_forms(tmp_path):
+    path = tmp_path / "mixed.state"
+    path.write_text("dims 11 2\n01 1 0\n10,1 1 0\n")
+    s = st.read_state_file(path)
+    assert np.abs(s.amps[[1, 21]] - 1 / np.sqrt(2)).max() < 1e-15
+    path.write_text("dims 11 2\n01 1 0\n0,1 1 0\n")
+    with pytest.raises(st.FormatError, match="line 3: duplicate"):
+        st.read_state_file(path)
+
+
+def test_state_file_rejects_non_ascii_digits_and_non_finite(tmp_path):
+    for body, match in [("dims 2 2\n0² 1 0\n", "line 2: basis string"),
+                        ("dims 2 ²\n", "line 1: non-integer"),
+                        ("dims 2 2\n00 nan 0\n", "line 2: non-numeric or non-finite field .nan."),
+                        ("dims 2 2\n00 1 x\n", "line 2: non-numeric")]:
+        path = tmp_path / "bad.state"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(st.FormatError, match=match):
+            st.read_state_file(path)
+
+
+def test_state_file_rejects_huge_dims_and_binary(tmp_path):
+    path = tmp_path / "huge.state"
+    path.write_text("dims 1000 1000 1000\n")
+    with pytest.raises(st.FormatError, match="line 1: dims"):
+        st.read_state_file(path)
+    path.write_bytes(b"dims 2\n\xff\xfe 1 0\n")
+    with pytest.raises(st.FormatError, match="UTF-8"):
+        st.read_state_file(path)

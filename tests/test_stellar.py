@@ -396,3 +396,13 @@ def test_constellation_file_round_trip(tmp_path):
 def test_symmetric_from_pure_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         sl.symmetric_from_pure(st.new_state((2, 2), [0, 1, 0, 0]))
+
+
+def test_constellation_file_errors_carry_line_numbers(tmp_path):
+    path = tmp_path / "bad.stars"
+    for body, match in [("star 1 0\nstar 1 oops\n", "line 2: non-numeric"),
+                        ("# stars\nplanet 1 0\n", "line 2: expected 'star"),
+                        ("star inf 0\n", "line 1: non-numeric or non-finite field .inf.")]:
+        path.write_text(body)
+        with pytest.raises(st.FormatError, match=match):
+            sl.read_constellation_file(path)
