@@ -108,18 +108,13 @@ def _near(value: float, tol: float) -> bool:
     return tol / 100.0 < value < tol * 100.0
 
 
-def _classification_entries(report: Report, state: PureState, tol: float) -> None:
-    cls = inv.slocc_classify3(state, tol)
+def _classification_entries(report: Report, cls: inv.SloccClass, tol: float) -> None:
     report.add("slocc", cls.label)
     report.add("rank_a", cls.local_ranks[0])
     report.add("rank_b", cls.local_ranks[1])
     report.add("rank_c", cls.local_ranks[2])
     report.add("det3_abs", cls.det3_abs, note=f"class threshold {tol:g}")
-    margins = [cls.det3_abs]
-    for site in range(3):
-        rest = tuple(s for s in range(3) if s != site)
-        m = np.transpose(state.tensor, (site,) + rest).reshape(2, 4)
-        margins.extend(np.linalg.svd(m, compute_uv=False))
+    margins = [cls.det3_abs, *(x for s in cls.singular_values for x in s)]
     if any(_near(v, tol) for v in margins):
         report.flag_warning()
         report.add("warning", "threshold-marginal classification")
@@ -158,7 +153,7 @@ def _cmd_analyze(options) -> Report:
                      ("canonical_r2", cf.r2), ("canonical_r3", cf.r3),
                      ("canonical_r4", cf.r4), ("canonical_phi", cf.phi)]:
         report.add(key, val)
-    _classification_entries(report, state, tol)
+    _classification_entries(report, inv.slocc_classify3(state, tol), tol)
     return report
 
 
@@ -169,7 +164,7 @@ def _cmd_classify(options) -> Report:
         raise ValueError("classify expects a three-qubit state")
     tol = options.get("tol", inv.DET3_CLASS_TOL)
     _add_normalization(report, state)
-    _classification_entries(report, state, tol)
+    _classification_entries(report, inv.slocc_classify3(state, tol), tol)
     return report
 
 

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, DensityMatrix, partial_trace, validate_density_matrix
+from .states import (PureState, DensityMatrix, _hamming_weights, _matricize, partial_trace,
+                     validate_density_matrix)
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 DET3_CLASS_TOL = 1e-8     # |Det3| above this counts as GHZ class
-RANK_CLASS_TOL = 1e-8     # singular values above this count toward local rank
 TANGLE_CROSS_CHECK_TOL = 1e-7
 
 SLOCC_LABELS = ("Separable", "BisepA", "BisepB", "BisepC", "W", "GHZ")
@@ -58,6 +58,7 @@ class SloccClass:
     label: str
     local_ranks: tuple
     det3_abs: float
+    singular_values: tuple   # per site, the singular values of its 2x4 site|rest matrix
 
 
 @dataclass(frozen=True)
@@ -205,28 +206,21 @@ def four_tangle(state: PureState) -> float:
     flipped = idx ^ 0b1111
     # sigma_y^x4 |b> = i^(#zeros) (-i)^(#ones) |~b>; for 4 qubits the phase is
     # i^4 (-1)^(#ones) = (-1)^popcount(b)
-    signs = (-1.0) ** np.array([bin(i).count("1") for i in range(16)])
+    signs = (-1.0) ** _hamming_weights(4)
     image = np.zeros(16, dtype=complex)
     image[flipped] = signs * v.conj()
     return float(abs(np.dot(v.conj(), image)) ** 2)
 
 
-def local_ranks3(state: PureState, tol: float = RANK_CLASS_TOL) -> tuple:
-    """Ranks of the three single-qubit reductions, via thresholded singular values."""
-    _require_qubits(state, 3)
-    ranks = []
-    for site in range(3):
-        rest = tuple(s for s in range(3) if s != site)
-        M = np.transpose(state.tensor, (site,) + rest).reshape(2, 4)
-        s = np.linalg.svd(M, compute_uv=False)
-        ranks.append(int(np.sum(s > tol)))
-    return tuple(ranks)
-
-
 def slocc_classify3(state: PureState, tol: float = DET3_CLASS_TOL) -> SloccClass:
-    """SLOCC class of a three-qubit state from local ranks and |Det3|."""
+    """SLOCC class of a three-qubit state from local ranks and |Det3|.
+
+    A site's local rank counts its site|rest singular values above tol.
+    """
     _require_qubits(state, 3)
-    ranks = local_ranks3(state, tol)
+    svals = tuple(tuple(map(float, np.linalg.svd(_matricize(state, (site,)), compute_uv=False)))
+                  for site in range(3))
+    ranks = tuple(sum(x > tol for x in s) for s in svals)
     det3_abs = float(abs(hyperdeterminant3(state.amps)))
     ones = ranks.count(1)
     if ones == 3:
@@ -239,7 +233,8 @@ def slocc_classify3(state: PureState, tol: float = DET3_CLASS_TOL) -> SloccClass
         # two rank-1 reductions force the third to be rank 1 as well; reaching
         # this branch means the threshold straddles a singular value
         raise ArithmeticError(f"inconsistent local ranks {ranks}; adjust tol")
-    return SloccClass(label=label, local_ranks=ranks, det3_abs=det3_abs)
+    return SloccClass(label=label, local_ranks=ranks, det3_abs=det3_abs,
+                      singular_values=svals)
 
 
 def _closest_product_state(T: np.ndarray, restarts: int = 32,

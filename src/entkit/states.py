@@ -129,7 +129,8 @@ def _as_complex_vector(amplitudes) -> np.ndarray:
 def new_state(dims, amplitudes) -> PureState:
     """Build a normalized PureState from raw amplitudes.
 
-    Raises ValueError on an amplitude-count mismatch or an all-zero vector.
+    Raises ValueError on an amplitude-count mismatch, an all-zero vector or
+    a norm that is not finite.
     """
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
@@ -138,7 +139,10 @@ def new_state(dims, amplitudes) -> PureState:
     expected = int(np.prod(dims))
     if v.size != expected:
         raise ValueError(f"expected {expected} amplitudes for dims {dims}, got {v.size}")
-    nrm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+    if not math.isfinite(nrm):
+        raise ValueError("amplitude norm overflows or is not finite; rescale the input")
     if nrm == 0.0:
         raise ValueError("zero vector cannot be normalized")
     v = v / nrm
@@ -168,6 +172,14 @@ def basis_index(dims, digits) -> int:
     return idx
 
 
+def _hamming_weights(num_qubits: int) -> np.ndarray:
+    """Number of 1s in each K-bit basis index 0..2^K-1, first qubit most significant."""
+    w = np.zeros(1, dtype=np.uint8)   # one byte per basis state; weights stay <= K
+    for _ in range(num_qubits):
+        w = np.concatenate((w, w + 1))
+    return w
+
+
 def ghz_state(num_qubits: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2)."""
     if num_qubits < 2:
@@ -181,10 +193,7 @@ def w_state(num_qubits: int) -> PureState:
     """Equal superposition of the weight-1 bitstrings."""
     if num_qubits < 2:
         raise ValueError("W needs at least 2 qubits")
-    v = np.zeros(2 ** num_qubits, dtype=complex)
-    for i in range(num_qubits):
-        v[1 << i] = 1.0
-    return new_state((2,) * num_qubits, v)
+    return dicke_state(num_qubits, 1)
 
 
 def dicke_state(num_qubits: int, num_excitations: int) -> PureState:
@@ -192,10 +201,7 @@ def dicke_state(num_qubits: int, num_excitations: int) -> PureState:
     K, k = int(num_qubits), int(num_excitations)
     if not 0 <= k <= K:
         raise ValueError(f"excitation count {k} out of range 0..{K}")
-    v = np.zeros(2 ** K, dtype=complex)
-    for bits in product((0, 1), repeat=K):
-        if sum(bits) == k:
-            v[basis_index((2,) * K, bits)] = 1.0
+    v = (_hamming_weights(K) == k).astype(complex)
     return new_state((2,) * K, v)
 
 

@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .states import FormatError, PureState, _float, _records, new_state
+from .states import FormatError, PureState, _float, _hamming_weights, _records, new_state
 
 INF = complex(math.inf, 0.0)
 
@@ -122,14 +122,11 @@ def symmetric_from_pure(state: PureState, tol: float = 1e-10) -> SymmetricState:
     K = state.num_sites
     coeffs = np.zeros(K + 1, dtype=complex)
     residual = 0.0
-    amps = state.amps
-    by_weight = [[] for _ in range(K + 1)]
-    for idx in range(2 ** K):
-        by_weight[bin(idx).count("1")].append(idx)
+    weights = _hamming_weights(K)
     for k in range(K + 1):
-        vals = amps[np.array(by_weight[k])]
+        vals = state.amps[weights == k]
         mean = vals.mean()
-        residual = max(residual, float(np.abs(vals - mean).max()) if len(vals) else 0.0)
+        residual = max(residual, float(np.abs(vals - mean).max()))
         coeffs[k] = mean * math.sqrt(comb(K, k))
     if residual > tol:
         raise ValueError(f"state is not permutation symmetric (residual {residual:.2e})")
@@ -141,10 +138,8 @@ def symmetric_from_pure(state: PureState, tol: float = 1e-10) -> SymmetricState:
 def symmetric_to_pure(sym: SymmetricState) -> PureState:
     """Expand Dicke coefficients into the full 2^K amplitude vector."""
     K = sym.num_qubits
-    v = np.zeros(2 ** K, dtype=complex)
-    for idx in range(2 ** K):
-        k = bin(idx).count("1")
-        v[idx] = sym.dicke_coeffs[k] / math.sqrt(comb(K, k))
+    sqrt_binomials = np.array([math.sqrt(comb(K, k)) for k in range(K + 1)])
+    v = (sym.dicke_coeffs / sqrt_binomials)[_hamming_weights(K)]
     return new_state((2,) * K, v)
 
 
@@ -165,21 +160,9 @@ def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return out
 
 
-def _snap_multiple_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Collapse root clusters that are genuine multiple roots.
-
-    Companion-matrix eigenvalues of an m-fold root scatter over a disc of
-    radius ~eps^(1/m), far beyond any sensible coincidence tolerance.  A
-    cluster is collapsed onto the Newton-refined root of the (m-1)-th
-    derivative, but only if all lower derivatives vanish there to rounding
-    accuracy, so nearby-but-distinct roots are left untouched.
-    """
-    n = len(roots)
-    if n < 2:
-        return roots
-    # eigenvalue scatter of an m-fold root grows like eps^(1/m); widen the
-    # candidate radius with the degree and rely on the validation below
-    radius = min(max(30.0 * (1e-16) ** (1.0 / max(2, len(coeffs) - 1)), 1e-3), 3e-2)
+def _clusters(points, radius: float) -> list:
+    """Index groups of points joined by chains of chordal distance <= radius."""
+    n = len(points)
     parent = list(range(n))
 
     def find(i):
@@ -190,15 +173,30 @@ def _snap_multiple_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if chordal_distance(roots[i], roots[j]) <= radius:
+            if chordal_distance(points[i], points[j]) <= radius:
                 parent[find(i)] = find(j)
-    clusters = {}
+    groups = {}
     for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _snap_multiple_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Collapse root clusters that are genuine multiple roots.
+
+    Companion-matrix eigenvalues of an m-fold root scatter over a disc of
+    radius ~eps^(1/m), far beyond any sensible coincidence tolerance.  A
+    cluster is collapsed onto the Newton-refined root of the (m-1)-th
+    derivative, but only if all lower derivatives vanish there to rounding
+    accuracy, so nearby-but-distinct roots are left untouched.
+    """
+    # eigenvalue scatter of an m-fold root grows like eps^(1/m); widen the
+    # candidate radius with the degree and rely on the validation below
+    radius = min(max(30.0 * (1e-16) ** (1.0 / max(2, len(coeffs) - 1)), 1e-3), 3e-2)
     scale = np.abs(coeffs).max()
     deg = len(coeffs) - 1
     out = roots.astype(complex)
-    for members in clusters.values():
+    for members in _clusters(roots, radius):
         m = len(members)
         if m < 2:
             continue
@@ -292,25 +290,8 @@ def apply_mobius(constellation: Constellation, m: MobiusMap) -> Constellation:
 
 def degeneracy_type(constellation: Constellation, tol: float = DEGENERACY_TOL) -> tuple:
     """Partition of K recording star-coincidence multiplicities, descending."""
-    stars = constellation.all_stars()
-    n = len(stars)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if chordal_distance(stars[i], stars[j]) <= tol:
-                parent[find(i)] = find(j)
-    sizes = {}
-    for i in range(n):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return tuple(sorted(sizes.values(), reverse=True))
+    sizes = (len(members) for members in _clusters(constellation.all_stars(), tol))
+    return tuple(sorted(sizes, reverse=True))
 
 
 def _proj(z: complex) -> tuple:
@@ -442,15 +423,11 @@ def form_from_sym(sym: SymmetricState) -> np.ndarray:
 
 
 def _cubic_discriminant(a) -> complex:
+    # a0^2 a3^2 - 6 a0 a1 a2 a3 + 4 a0 a2^3 + 4 a1^3 a3 - 3 a1^2 a2^2, written
+    # through the Hessian minors: finite when a0 = 0, and second-order small
+    # at a triple root, where all three minors vanish
     a0, a1, a2, a3 = a
-    M = np.array([
-        [a0, 3 * a1, 3 * a2, a3, 0],
-        [0, a0, 3 * a1, 3 * a2, a3],
-        [3 * a0, 6 * a1, 3 * a2, 0, 0],
-        [0, 3 * a0, 6 * a1, 3 * a2, 0],
-        [0, 0, 3 * a0, 6 * a1, 3 * a2],
-    ], dtype=complex)
-    return complex(np.linalg.det(M) / (27 * a0))
+    return complex((a0 * a3 - a1 * a2) ** 2 - 4 * (a0 * a2 - a1 ** 2) * (a1 * a3 - a2 ** 2))
 
 
 def _cubic_eval(a, u, v):
@@ -492,7 +469,7 @@ def form_invariants(coeffs, degree: int) -> FormInvariants:
     if degree == 2:
         return FormInvariants(degree=2, discriminant=complex(a[0] * a[2] - a[1] ** 2))
     if degree == 3:
-        delta = _cubic_discriminant(a) if a[0] != 0 else _cubic_discriminant_generic(a)
+        delta = _cubic_discriminant(a)
         hess = _cubic_hessian_coeffs(a)
         scale = max(np.abs(a).max() ** 6, 1e-300)
         resid = 0.0
@@ -510,14 +487,6 @@ def form_invariants(coeffs, degree: int) -> FormInvariants:
                                          [a[2], a[3], a[4]]], dtype=complex)))
     return FormInvariants(degree=4, discriminant=complex(i1 ** 3 - 27 * i2 ** 2),
                           i1=complex(i1), i2=i2)
-
-
-def _cubic_discriminant_generic(a) -> complex:
-    # closed form; equals the 5x5-determinant construction for a0 != 0 and
-    # remains finite when a0 = 0
-    a0, a1, a2, a3 = a
-    return complex(a0 ** 2 * a3 ** 2 - 6 * a0 * a1 * a2 * a3 + 4 * a0 * a2 ** 3
-                   + 4 * a1 ** 3 * a3 - 3 * a1 ** 2 * a2 ** 2)
 
 
 def transform_form(coeffs, degree: int, g) -> np.ndarray:

@@ -13,7 +13,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import PureState, new_state, basis_index, ghz_state, w_state, dicke_state
+from .states import (PureState, _matricize, new_state, basis_index, ghz_state, w_state,
+                     dicke_state)
 
 KUNIFORM_TOL = 1e-9
 STABILIZER_TOL = 1e-10
@@ -99,10 +100,7 @@ def stabilizer_check(state: PureState, pauli_strings) -> list:
 
 
 def _subset_gram(state: PureState, sites) -> np.ndarray:
-    kept = tuple(sites)
-    rest = tuple(s for s in range(state.num_sites) if s not in kept)
-    d = int(np.prod([state.dims[s] for s in kept]))
-    M = np.transpose(state.tensor, kept + rest).reshape(d, -1)
+    M = _matricize(state, sites)
     return M @ M.conj().T
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from entkit import cli
@@ -161,7 +163,7 @@ def test_report_determinism(tmp_path):
     out1, out2 = str(tmp_path / "r1.txt"), str(tmp_path / "r2.txt")
     assert cli.main(["analyze", "--state", spath, "--out", out1]) == 0
     assert cli.main(["analyze", "--state", spath, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_report_rejects_nan_and_duplicates():
@@ -226,3 +228,10 @@ def test_max_k_zero_emits_no_q_lines(tmp_path, capsys):
 def test_format_errors_are_one_line(tmp_path, capsys, argv, name, body, message):
     assert cli.main(argv + [_write(tmp_path, name, body)]) == 1
     assert capsys.readouterr().err == f"entkit: error: {message}\n"
+
+
+def test_overflowing_norm_is_one_line_error(tmp_path, capsys):
+    path = _write(tmp_path, "huge.state", "dims 2 2 2\n000 1e308 0\n111 1e308 0\n")
+    assert cli.main(["classify", "--state", path]) == 1
+    assert capsys.readouterr().err == (
+        "entkit: error: amplitude norm overflows or is not finite; rescale the input\n")

@@ -244,6 +244,20 @@ def test_slocc_classify_representatives():
     assert inv.slocc_classify3(st.w_state(3)).det3_abs < 1e-12
 
 
+def test_slocc_singular_values_give_local_ranks():
+    rng = np.random.default_rng(12)
+    states = [st.basis_state((2, 2, 2), "000"), st.w_state(3), st.ghz_state(3),
+              st.new_state((2, 2, 2), [1, 0, 0, 1, 0, 0, 0, 0])]
+    states += [st.random_state((2, 2, 2), int(seed)) for seed in rng.integers(1 << 30, size=5)]
+    for state in states:
+        cls = inv.slocc_classify3(state)
+        assert len(cls.singular_values) == 3
+        for svals, rank in zip(cls.singular_values, cls.local_ranks):
+            assert all(type(x) is float for x in svals)
+            assert abs(sum(x * x for x in svals) - 1.0) < 1e-12
+            assert sum(x > inv.DET3_CLASS_TOL for x in svals) == rank
+
+
 def test_slocc_class_stable_under_unit_det_maps():
     rng = np.random.default_rng(8)
     for state, label in [(st.ghz_state(3), "GHZ"), (st.w_state(3), "W")]:

@@ -39,6 +39,26 @@ def test_new_state_errors():
         st.new_state((2, 2), [0, 0, 0, 0])
 
 
+def test_new_state_rejects_overflowing_norm():
+    amps = np.zeros(8)
+    amps[0] = amps[7] = 1e308
+    with pytest.raises(ValueError, match="norm overflows"):
+        st.new_state((2, 2, 2), amps)
+
+
+def test_hamming_weights_count_ones():
+    for K in range(6):
+        assert list(st._hamming_weights(K)) == [bin(i).count("1") for i in range(2 ** K)]
+
+
+@pytest.mark.parametrize("K, k", [(1, 0), (1, 1), (4, 2), (7, 3), (10, 10)])
+def test_dicke_state_has_binomial_support(K, k):
+    amps = st.dicke_state(K, k).amps
+    support = amps[amps != 0]
+    assert support.size == math.comb(K, k)
+    assert np.all(support == support[0])
+
+
 def test_apply_local_z_swaps_phi_states():
     phi_plus = st.new_state((2, 2), BELL_PHI_PLUS)
     out = st.apply_local(phi_plus, [I2, Z])

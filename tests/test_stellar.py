@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from entkit import states as st
 from entkit import stellar as sl
@@ -21,6 +23,31 @@ def _match_distance(con_a, con_b):
 def _random_sym(num_qubits, rng):
     d = rng.standard_normal(num_qubits + 1) + 1j * rng.standard_normal(num_qubits + 1)
     return sl.SymmetricState(num_qubits, d / np.linalg.norm(d))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(hs.integers(1, 10).flatmap(lambda K: hs.lists(
+    hs.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    min_size=K + 1, max_size=K + 1)))
+def test_symmetric_round_trip(coeffs):
+    d = np.array(coeffs, dtype=complex)
+    if np.linalg.norm(d) < 1e-3:
+        d[0] = 1.0
+    sym = sl.SymmetricState(len(d) - 1, d / np.linalg.norm(d))
+    back = sl.symmetric_from_pure(sl.symmetric_to_pure(sym))
+    assert back.num_qubits == sym.num_qubits
+    assert np.abs(back.dicke_coeffs - sym.dicke_coeffs).max() < 1e-12
+
+
+def test_symmetric_to_pure_matches_loop_reference():
+    rng = np.random.default_rng(4)
+    for K in (1, 3, 6):
+        sym = _random_sym(K, rng)
+        v = np.zeros(2 ** K, dtype=complex)
+        for idx in range(2 ** K):
+            k = bin(idx).count("1")
+            v[idx] = sym.dicke_coeffs[k] / math.sqrt(math.comb(K, k))
+        assert np.array_equal(sl.symmetric_to_pure(sym).amps, st.new_state((2,) * K, v).amps)
 
 
 def test_ghz3_is_regular_triangle():
@@ -266,6 +293,14 @@ def test_cubic_triple_root_kills_hessian():
     fi = sl.form_invariants(a, 3)
     assert max(abs(h) for h in fi.hessian_coeffs) < 1e-12
     assert abs(fi.discriminant) < 1e-12
+
+
+def test_cubic_discriminant_vanishes_to_second_order_at_triple_root():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        z = complex(rng.standard_normal(), rng.standard_normal())
+        a = sl.form_from_sym(sl.from_constellation([z] * 3))
+        assert abs(sl.form_invariants(a, 3).discriminant) < 1e-28 * np.abs(a).max() ** 4
 
 
 def test_cubic_hessian_discriminant_proportional():
