@@ -10,6 +10,7 @@ with a classification-threshold warning.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -355,16 +356,18 @@ def run(request: AnalysisRequest) -> Report:
     return handler(request.options)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entkit",
         description="Multipartite entanglement analysis toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
+    def common(p, seed=False, tol=True):
         p.add_argument("--state", help="input state file")
         p.add_argument("--out", help="report destination (default stdout)")
-        p.add_argument("--tol", type=float, help="override the documented default tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, help="override the documented default tolerance")
         if seed:
             p.add_argument("--seed", type=int, help="RNG seed (mandatory when stochastic)")
 
@@ -386,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mps = sub.add_parser("mps").add_subparsers(dest="subcommand", required=True)
     p = mps.add_parser("compress")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--max-bond", dest="max_bond", type=int, help="bond dimension cap")
     p.add_argument("--out-mps", dest="out_mps", help="write the compressed MPS here")
     p = mps.add_parser("dmrg")

@@ -21,8 +21,8 @@ from itertools import islice
 
 import numpy as np
 
-from .states import (DENSE_GUARD, FormatError, PureState, _float, _int, _records,
-                     new_state, page_expected_entropy)
+from .states import (DENSE_GUARD, FormatError, PureState, _entropy, _float, _int,
+                     _records, new_state, page_expected_entropy)
 
 CANONICAL_TOL = 1e-10
 RANK_RTOL = 1e-12          # relative singular-value cutoff for exact ranks
@@ -66,18 +66,6 @@ class MpsState:
         return tuple(t.shape[2] for t in self.tensors[:-1])
 
 
-@dataclass
-class ContractionStats:
-    """Instrumentation hook: peak element count of overlap intermediates."""
-
-    peak_elements: int = 0
-
-    def record(self, *arrays) -> None:
-        for a in arrays:
-            if a.size > self.peak_elements:
-                self.peak_elements = a.size
-
-
 def _freeze(arrays):
     out = []
     for a in arrays:
@@ -87,47 +75,54 @@ def _freeze(arrays):
     return tuple(out)
 
 
+def _svd_cut(m, max_bond=None):
+    """SVD of m cut at its numerical rank (RANK_RTOL * s[0]), capped at max_bond.
+
+    Returns the kept u, s, vh and the discarded fraction of sum(s ** 2).
+    """
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    rank = max(1, int(np.sum(s > RANK_RTOL * s[0])))
+    if max_bond is not None:
+        rank = min(rank, int(max_bond))
+    kept = float(np.sum(s[:rank] ** 2))
+    discarded = max(0.0, 1.0 - kept / float(np.sum(s ** 2)))
+    return u[:, :rank], s[:rank], vh[:rank], discarded
+
+
 def from_dense(state: PureState) -> MpsState:
     """Canonical open-boundary MPS by stepwise singular value decomposition."""
     dims = state.dims
-    K = len(dims)
     tensors = []
     spectra = []
     rest = state.amps.reshape(1, -1)
-    r_prev = 1
-    for k in range(K - 1):
-        m = rest.reshape(r_prev * dims[k], -1)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        rank = max(1, int(np.sum(s > RANK_RTOL * s[0])))
-        u, s, vh = u[:, :rank], s[:rank], vh[:rank]
-        tensors.append(u.reshape(r_prev, dims[k], rank))
+    for n in dims[:-1]:
+        r_prev = rest.shape[0]
+        u, s, vh, _ = _svd_cut(rest.reshape(r_prev * n, -1))
+        tensors.append(u.reshape(r_prev, n, -1))
         probs = s ** 2
         spectra.append(probs / probs.sum())
-        rest = (s[:, None] * vh)
-        r_prev = rank
-    tensors.append(rest.reshape(r_prev, dims[-1], 1))
+        rest = s[:, None] * vh
+    tensors.append(rest.reshape(rest.shape[0], dims[-1], 1))
     return MpsState(tensors=_freeze(tensors), boundary="open",
                     spectra=tuple(np.asarray(p) for p in spectra))
 
 
 def to_dense(mps: MpsState) -> PureState:
-    """Contract all site tensors into a normalized dense PureState."""
+    """Contract all site tensors into a normalized dense PureState.
+
+    One accumulator of shape (r_0, M, r) runs over the sites, M counting the
+    amplitudes so far; the edge bonds r_0 and r_K are traced at the end
+    (both are 1 for an open chain).
+    """
     dims = mps.dims
     total = int(np.prod(dims))
     if total > DENSE_GUARD:
         raise ValueError(f"{total} amplitudes exceed the densification guard")
-    if mps.boundary == "open":
-        acc = mps.tensors[0].reshape(dims[0], -1)
-        for t in mps.tensors[1:]:
-            acc = np.tensordot(acc, t, axes=([-1], [0]))
-            acc = acc.reshape(-1, t.shape[2])
-        return new_state(dims, acc.reshape(-1))
-    acc = np.moveaxis(mps.tensors[0], 1, 0)               # (N, D, D)
+    acc = mps.tensors[0]
     for t in mps.tensors[1:]:
-        grown = np.tensordot(acc, t, axes=([-1], [0]))    # (M, D, N, D)
-        acc = np.moveaxis(grown, -2, 1).reshape(-1, grown.shape[1], t.shape[2])
-    amps = np.trace(acc, axis1=1, axis2=2)
-    return new_state(dims, amps)
+        acc = np.tensordot(acc, t, axes=([2], [0]))
+        acc = acc.reshape(acc.shape[0], -1, t.shape[2])
+    return new_state(dims, np.trace(acc, axis1=0, axis2=2))
 
 
 @dataclass(frozen=True)
@@ -162,59 +157,44 @@ def check_canonical(mps: MpsState) -> CanonicalResiduals:
                               max_residual=worst)
 
 
-def _right_normalize(tensors):
-    """LQ sweep from the right; returns right-isometric tensors (norm dropped)."""
-    out = [None] * len(tensors)
-    carry = np.eye(tensors[-1].shape[2], dtype=complex)
-    for k in range(len(tensors) - 1, -1, -1):
-        t = np.tensordot(tensors[k], carry, axes=([2], [0]))
-        rl, n, rr = t.shape
-        m = t.reshape(rl, n * rr)
-        q, r = np.linalg.qr(m.conj().T)
-        out[k] = q.conj().T.reshape(-1, n, rr)
-        carry = r.conj().T
-    return out, carry
-
-
 def _compress_sweep(tensors, max_bond=None):
     """Left-to-right SVD sweep over right-isometric tensors.
 
     Returns left-isometric tensors, per-bond spectra and per-bond discarded
     weight; the state is renormalized after every cut.
     """
-    K = len(tensors)
     out = []
     spectra = []
     discarded = []
     carry = np.eye(tensors[0].shape[0], dtype=complex)
-    for k in range(K):
-        t = np.tensordot(carry, tensors[k], axes=([1], [0]))
+    for tensor in tensors[:-1]:
+        t = np.tensordot(carry, tensor, axes=([1], [0]))
         rl, n, rr = t.shape
-        if k == K - 1:
-            nrm = np.linalg.norm(t)
-            out.append(t / nrm)
-            break
-        u, s, vh = np.linalg.svd(t.reshape(rl * n, rr), full_matrices=False)
-        total = float(np.sum(s ** 2))
-        rank = max(1, int(np.sum(s > RANK_RTOL * s[0])))
-        if max_bond is not None:
-            rank = min(rank, int(max_bond))
-        kept = float(np.sum(s[:rank] ** 2))
-        discarded.append(max(0.0, 1.0 - kept / total))
-        u, s, vh = u[:, :rank], s[:rank], vh[:rank]
+        u, s, vh, lost = _svd_cut(t.reshape(rl * n, rr), max_bond)
+        discarded.append(lost)
         s = s / np.linalg.norm(s)
-        out.append(u.reshape(rl, n, rank))
+        out.append(u.reshape(rl, n, -1))
         spectra.append(s ** 2)
         carry = s[:, None] * vh
+    t = np.tensordot(carry, tensors[-1], axes=([1], [0]))
+    out.append(t / np.linalg.norm(t))
     return out, spectra, discarded
 
 
 def _right_canonical_with_phase(tensors):
-    right, carry = _right_normalize(tensors)
+    """LQ sweep from the right: right-isometric tensors, norm dropped, global phase kept."""
+    out = [None] * len(tensors)
+    carry = np.eye(tensors[-1].shape[2], dtype=complex)
+    for k in range(len(tensors) - 1, -1, -1):
+        t = np.tensordot(tensors[k], carry, axes=([2], [0]))
+        rl, n, rr = t.shape
+        q, r = np.linalg.qr(t.reshape(rl, n * rr).conj().T)
+        out[k] = q.conj().T.reshape(-1, n, rr)
+        carry = r.conj().T
     scale = carry[0, 0]
     if scale != 0:
-        right[0] = right[0] * (scale / abs(scale))   # keep the global phase
-    return right
+        out[0] = out[0] * (scale / abs(scale))
+    return out
 
 
 def canonicalize(mps: MpsState) -> MpsState:
@@ -248,37 +228,28 @@ def truncate(mps: MpsState, max_bond: int):
     return recanon, tuple(discarded)
 
 
-def overlap(bra: MpsState, ket: MpsState, stats: ContractionStats | None = None) -> complex:
-    """<bra|ket> by site-by-site contraction.
+def overlap(bra: MpsState, ket: MpsState) -> complex:
+    """<bra|ket> by one site-by-site environment sweep.
 
-    Open boundaries keep one (r_bra x r_ket) environment plus one
-    (r_bra x N x r_ket) temporary alive, never the dense amplitudes.
+    env[b, x, k] joins the bra bond b and the ket bond k at the current cut,
+    for each pair x of (bra, ket) edge bonds at site 0; the pairs are traced
+    at the end.  An open chain has edge bonds of size 1, so x has size 1 and
+    only O(r_bra N r_ket) elements are ever alive, never the dense amplitudes.
     """
     if bra.dims != ket.dims:
         raise ValueError(f"dimension mismatch: {bra.dims} vs {ket.dims}")
     if bra.boundary != ket.boundary:
         raise ValueError("boundary mismatch")
-    if bra.boundary == "open":
-        env = np.ones((1, 1), dtype=complex)
-        for tb, tk in zip(bra.tensors, ket.tensors):
-            tmp = np.tensordot(env, tk, axes=([1], [0]))      # (rb, N, rk')
-            env = np.tensordot(tb.conj(), tmp, axes=([0, 1], [0, 1]))
-            if stats is not None:
-                stats.record(tmp, env)
-        return complex(env[0, 0])
-    # periodic: multiply (D_bra D_ket)^2 transfer matrices and take the trace
-    env = None
+    rb, rk = bra.tensors[0].shape[0], ket.tensors[0].shape[0]
+    env = np.eye(rb * rk, dtype=complex).reshape(rb, rk, -1).transpose(0, 2, 1)
     for tb, tk in zip(bra.tensors, ket.tensors):
-        e = np.einsum("aib,cid->acbd", tb.conj(), tk)
-        e = e.reshape(tb.shape[0] * tk.shape[0], tb.shape[2] * tk.shape[2])
-        env = e if env is None else env @ e
-        if stats is not None:
-            stats.record(e, env)
-    return complex(np.trace(env))
+        tmp = np.tensordot(env, tk, axes=([2], [0]))             # (rb, x, N, rk')
+        env = np.tensordot(tb.conj(), tmp, axes=([0, 1], [0, 2]))  # (rb', x, rk')
+    return complex(np.einsum("bbkk->", env.reshape(rb, rb, rk, rk)))
 
 
-def norm(mps: MpsState, stats: ContractionStats | None = None) -> float:
-    return float(np.sqrt(abs(overlap(mps, mps, stats))))
+def norm(mps: MpsState) -> float:
+    return float(np.sqrt(abs(overlap(mps, mps))))
 
 
 def entanglement_entropy(mps: MpsState, bond: int) -> float:
@@ -288,9 +259,7 @@ def entanglement_entropy(mps: MpsState, bond: int) -> float:
     if not 0 <= bond < mps.num_sites - 1:
         raise ValueError(f"bond must be in 0..{mps.num_sites - 2}")
     state = mps if mps.spectra is not None else canonicalize(mps)
-    lam = np.asarray(state.spectra[bond])
-    lam = lam[lam > 0]
-    return float(-(lam * np.log(lam)).sum())
+    return _entropy(np.asarray(state.spectra[bond]))
 
 
 def random_mps(num_sites: int, local_dim: int, max_bond: int, seed,
@@ -639,9 +608,7 @@ def scaling_experiment(num_sites: int, local_dim: int, bond_or_random,
             v /= np.linalg.norm(v)
             for x in ent:
                 m = v.reshape(n ** x, -1)
-                lam = np.clip(np.linalg.eigvalsh(m @ m.conj().T), 0, None)
-                lam = lam[lam > 0]
-                ent[x].append(float(-(lam * np.log(lam)).sum()))
+                ent[x].append(_entropy(np.linalg.eigvalsh(m @ m.conj().T)))
         for x, vals in ent.items():
             vals = np.asarray(vals)
             rows.append(ScalingRow(

@@ -310,14 +310,17 @@ def schmidt(state: PureState, bipartition: Bipartition) -> SchmidtDecomposition:
                                 right_basis=Vh.T, rank=rank)
 
 
+def _entropy(weights: np.ndarray) -> float:
+    """-sum p ln p (nats) over the positive weights p; the rest count as zero."""
+    p = weights[weights > 0]
+    return float(-(p * np.log(p)).sum())
+
+
 def spectra_report(dm: DensityMatrix) -> SpectraReport:
     """Eigenvalues (descending), von Neumann entropy (nats), linear entropy, purity."""
     lam = dm.eigenvalues()
-    clipped = np.clip(lam, 0.0, None)
     purity = float(np.sum(np.abs(dm.entries) ** 2))
-    pos = clipped[clipped > 0]
-    s_vn = float(-(pos * np.log(pos)).sum())
-    return SpectraReport(eigenvalues=lam, von_neumann_entropy=s_vn,
+    return SpectraReport(eigenvalues=lam, von_neumann_entropy=_entropy(lam),
                          linear_entropy=1.0 - purity, purity=purity)
 
 

@@ -209,6 +209,24 @@ def test_tol_zero_reaches_module(tmp_path, capsys, monkeypatch):
     assert lines["det3_abs"].endswith("# class threshold 0")
 
 
+def test_parsed_values_do_not_leak_between_calls(tmp_path, capsys):
+    path = _write(tmp_path, "ghz.state", GHZ3)
+    code, lines, _ = _run(["classify", "--state", path, "--tol", "0"], capsys)
+    assert code == 0
+    assert lines["det3_abs"].endswith("# class threshold 0")
+    code, lines, _ = _run(["classify", "--state", path], capsys)
+    assert code == 0
+    assert lines["det3_abs"].endswith(f"# class threshold {cli.inv.DET3_CLASS_TOL:g}")
+
+
+def test_mps_compress_refuses_tol(tmp_path, capsys):
+    spath = str(tmp_path / "in.state")
+    st.write_state_file(spath, st.random_state((2,) * 4, 3))
+    assert cli.main(["mps", "compress", "--tol", "1e-3", "--state", spath,
+                     "--max-bond", "2"]) == 1
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_max_k_zero_emits_no_q_lines(tmp_path, capsys):
     path = str(tmp_path / "ame43.state")
     st.write_state_file(path, un.ame43_state())

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from entkit import states as st
 from entkit import mps as mp
@@ -201,19 +205,45 @@ def test_periodic_overlap_matches_dense():
     assert abs(got - dense) < 1e-10
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=hs.data(), sites=hs.integers(1, 6), boundary=hs.sampled_from(["open", "periodic"]),
+       seed=hs.integers(0, 2 ** 32 - 1))
+def test_overlap_matches_dense_property(data, sites, boundary, seed):
+    dims = data.draw(hs.lists(hs.integers(2, 3), min_size=sites, max_size=sites))
+    states = []
+    for _ in range(2):       # bra and ket bonds are drawn independently
+        bonds = data.draw(hs.lists(hs.integers(1, 4), min_size=sites + 1, max_size=sites + 1))
+        if boundary == "open":
+            bonds[0] = bonds[-1] = 1
+        else:
+            bonds[-1] = bonds[0]
+        rng = np.random.default_rng([seed, len(states)])
+        shapes = [(bonds[k], n, bonds[k + 1]) for k, n in enumerate(dims)]
+        tensors = tuple(rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes)
+        states.append(mp.MpsState(tensors=tensors, boundary=boundary))
+    a, b = states
+    dense = np.vdot(mp.to_dense(a).amps, mp.to_dense(b).amps)
+    assert abs(mp.overlap(a, b) / (mp.norm(a) * mp.norm(b)) - dense) < 1e-10
+
+
 def test_scaling_experiment_dense_guard():
     with pytest.raises(ValueError, match="guard"):
         mp.scaling_experiment(30, 2, "random", 1, seed=0)
 
 
 def test_overlap_memory_contract():
-    a = mp.random_mps(12, 2, 5, 4)
-    b = mp.random_mps(12, 2, 7, 5)
-    stats = mp.ContractionStats()
-    mp.overlap(a, b, stats)
-    # intermediates stay O(D_a D_b): one env plus one (D_a, N, D_b) temporary
-    assert stats.peak_elements <= 2 * 5 * 7
-    assert stats.peak_elements < 2 ** 12
+    # K = 24 qubits: the dense amplitudes alone would take 256 MiB; only the
+    # environment and one site-sized temporary may ever be alive
+    for boundary, (d_bra, d_ket) in [("open", (5, 7)), ("periodic", (3, 4))]:
+        a = mp.random_mps(24, 2, d_bra, 4, boundary=boundary)
+        b = mp.random_mps(24, 2, d_ket, 5, boundary=boundary)
+        tracemalloc.start()
+        try:
+            mp.overlap(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024, boundary
 
 
 def test_entropy_ghz_and_product():
