@@ -26,6 +26,9 @@ from .states import (DENSE_GUARD, FormatError, PureState, _entropy, _float, _int
 
 CANONICAL_TOL = 1e-10
 RANK_RTOL = 1e-12          # relative singular-value cutoff for exact ranks
+KRYLOV_DIM = 24            # Lanczos basis size per restart cycle
+LANCZOS_RTOL = 1e-13       # residual target, relative to max(1, |eigenvalue|)
+LANCZOS_MAX_CYCLES = 100   # restart cycles before the best Ritz pair is returned
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,6 +404,8 @@ class NnHamiltonian:
 
     def __post_init__(self):
         n2 = self.local_dim ** 2
+        if self.num_sites < 2:
+            raise ValueError(f"a chain needs at least 2 sites, got {self.num_sites}")
         if len(self.bond_ops) != self.num_sites - 1:
             raise ValueError("need one bond operator per nearest-neighbour pair")
         for h in self.bond_ops:
@@ -488,6 +493,82 @@ def _mpo_tensors(ham: NnHamiltonian):
     return mpo
 
 
+def _heff_matvec(L, w, R):
+    """The one-site effective Hamiltonian as a map, never as a matrix.
+
+    y[a,i,c] = sum L[a,w,b] W[w,i,j,v] R[c,v,d] x[b,j,d], as three matrix
+    products: L.x, then W for each a, then .R.  The operands are reshaped
+    once per site, so a product transposes nothing.
+    """
+    ra, wl, rb = L.shape
+    _, n, _, wr = w.shape
+    rc, _, rd = R.shape
+    left = L.reshape(ra * wl, rb)
+    mid = w.transpose(1, 3, 0, 2).reshape(n * wr, wl * n)      # (i v), (w j)
+    right = R.reshape(rc, wr * rd).T                           # (v d), c
+
+    def matvec(x):
+        y = (left @ x.reshape(rb, n * rd)).reshape(ra, wl * n, rd)
+        y = mid @ y                                            # (a, i v, d)
+        return (y.reshape(ra * n, wr * rd) @ right).reshape(ra, n, rc)
+    return matvec
+
+
+def _orthogonalize(v, basis):
+    """v minus its projection on the orthonormal rows of basis, done twice."""
+    for _ in range(2):
+        v = v - (v.conj() @ basis.T).conj() @ basis
+    return v
+
+
+def _lowest_eigenpair(matvec, v0):
+    """Lowest eigenvalue and unit eigenvector of a Hermitian linear map.
+
+    Restarted Lanczos with full reorthogonalization: each cycle builds an
+    orthonormal basis of up to KRYLOV_DIM vectors from the current guess
+    (first v0), diagonalizes the tridiagonal projection and restarts from
+    the lowest Ritz vector, until its residual |A y - theta y| is at most
+    LANCZOS_RTOL * max(1, |theta|) or LANCZOS_MAX_CYCLES have run.  matvec
+    takes and returns arrays shaped like v0.  When the space has at most
+    KRYLOV_DIM dimensions one cycle spans it, and the result is exact.
+
+    On breakdown (the basis spans an invariant subspace) the basis goes on
+    with a random vector orthogonal to it, uncoupled in the projection: a
+    guess inside an invariant subspace, such as an excited eigenvector,
+    would otherwise be returned as converged.  The generator has a fixed
+    seed, so results are deterministic.
+    """
+    shape, dim = v0.shape, v0.size
+    dtype = np.result_type(v0.dtype, float)
+    size = min(KRYLOV_DIM, dim)
+    rng = np.random.default_rng(0)
+    x = v0.ravel() / np.linalg.norm(v0)
+    for _ in range(LANCZOS_MAX_CYCLES):
+        basis = np.empty((size, dim), dtype)
+        images = np.empty((size, dim), dtype)
+        alpha, beta = np.empty(size), np.zeros(size - 1)
+        basis[0] = x
+        for j in range(size):
+            images[j] = matvec(basis[j].reshape(shape)).ravel()
+            alpha[j] = np.vdot(basis[j], images[j]).real
+            if j + 1 == size:
+                break
+            v = _orthogonalize(images[j], basis[:j + 1])
+            beta[j] = np.linalg.norm(v)
+            if beta[j] <= LANCZOS_RTOL * np.linalg.norm(images[j]):     # breakdown
+                beta[j] = 0.0
+                v = _orthogonalize(rng.standard_normal(dim), basis[:j + 1])
+            basis[j + 1] = v / np.linalg.norm(v)
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+        x = s[:, 0] @ basis
+        scale = np.linalg.norm(x)
+        residual = np.linalg.norm(s[:, 0] @ images - theta[0] * x) / scale
+        x /= scale
+        if residual <= LANCZOS_RTOL * max(1.0, abs(theta[0])):
+            break
+    return float(theta[0]), x.reshape(shape)
+
+
 @dataclass(frozen=True)
 class GroundStateResult:
     energy: float
@@ -502,14 +583,16 @@ def dmrg_ground_state(ham: NnHamiltonian, max_bond: int,
                       seed=0) -> GroundStateResult:
     """Single-site DMRG minimizing the Rayleigh quotient over bond-D MPS.
 
-    Sweeps left-to-right and back, solving the dense effective eigenproblem
-    at one site at a time; the recorded per-sweep energy can only decrease.
-    Returns the best state found, with converged=False if the energy gain
-    never dropped below tol.
+    Sweeps left-to-right and back, one site at a time; at each site the
+    lowest eigenpair of the effective Hamiltonian is found matrix-free, by
+    Lanczos on the L.W.R product warm-started from the current site tensor,
+    so a sweep costs time linear in the chain length.  The recorded
+    per-sweep energy can only decrease.  Returns the best state found, with
+    converged=False if the energy gain never dropped below tol.
     """
     K, n = ham.num_sites, ham.local_dim
-    if K > 40:
-        raise ValueError("chain length capped at 40 sites")
+    if max_bond < 1:
+        raise ValueError(f"bond dimension must be at least 1, got {max_bond}")
     mpo = _mpo_tensors(ham)
     state = random_mps(K, n, max_bond, seed)
     tensors = [t.copy() for t in state.tensors]
@@ -533,12 +616,8 @@ def dmrg_ground_state(ham: NnHamiltonian, max_bond: int,
     envs_l[0] = np.ones((1, 1, 1), dtype=complex)
 
     def solve_site(k):
-        L, R, w = envs_l[k], envs_r[k + 1], mpo[k]
-        heff = np.einsum("awb,wijv,cvd->aicbjd", L, w, R, optimize=True)
-        d = L.shape[0] * n * R.shape[0]
-        heff = heff.reshape(d, d)
-        vals, vecs = np.linalg.eigh(0.5 * (heff + heff.conj().T))
-        return float(vals[0]), vecs[:, 0].reshape(L.shape[0], n, R.shape[0])
+        return _lowest_eigenpair(_heff_matvec(envs_l[k], mpo[k], envs_r[k + 1]),
+                                 tensors[k])
 
     history = []
     prev_energy = None

@@ -253,3 +253,15 @@ def test_overflowing_norm_is_one_line_error(tmp_path, capsys):
     assert cli.main(["classify", "--state", path]) == 1
     assert capsys.readouterr().err == (
         "entkit: error: amplitude norm overflows or is not finite; rescale the input\n")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--sites", "1", "--bond", "4"], "a chain needs at least 2 sites, got 1"),
+    (["--sites", "0", "--bond", "4"], "a chain needs at least 2 sites, got 0"),
+    (["--sites", "6", "--bond", "0"], "bond dimension must be at least 1, got 0"),
+    (["--sites", "6", "--bond", "-1"], "bond dimension must be at least 1, got -1"),
+])
+def test_mps_dmrg_bad_sizes_are_one_line_errors(capsys, flags, message):
+    assert cli.main(["mps", "dmrg", "--model", "ising", "--g", "1", "--seed", "1",
+                     *flags]) == 1
+    assert capsys.readouterr().err == f"entkit: error: {message}\n"

@@ -324,6 +324,63 @@ def test_dmrg_larger_bond_never_worse():
     assert e4 <= e2 + 1e-12
 
 
+def test_dmrg_long_chain_matches_free_fermions():
+    # open chain -sum ZZ - g sum X: E0 = -(sum of the singular values of the
+    # K x K single-particle matrix g*1 + superdiagonal 1)
+    K, g = 48, 1.5
+    single = g * np.eye(K) + np.eye(K, k=1)
+    exact = -np.linalg.svd(single, compute_uv=False).sum()
+    res = mp.dmrg_ground_state(mp.ising_hamiltonian(K, g), 8, seed=1)
+    assert res.converged
+    assert abs(res.energy - exact) < 1e-8
+
+
+def _dense_local_solve(L, w, R):
+    """Reference: the dense effective Hamiltonian and its full eigh."""
+    heff = np.einsum("awb,wijv,cvd->aicbjd", L, w, R, optimize=True)
+    d = L.shape[0] * w.shape[1] * R.shape[0]
+    heff = heff.reshape(d, d)
+    return np.linalg.eigh(0.5 * (heff + heff.conj().T))
+
+
+def test_lowest_eigenpair_escapes_invariant_subspace():
+    # e_3 is an eigenvector: without a fresh vector on breakdown, Lanczos
+    # stops in span{e_3} and returns 3
+    diag = np.arange(1.0, 31.0)
+    v0 = np.zeros(30)
+    v0[2] = 1.0
+    energy, vec = mp._lowest_eigenpair(lambda x: diag * x, v0)
+    assert energy == pytest.approx(1.0, abs=1e-12)
+    assert abs(vec[0]) == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=hs.data(), sites=hs.integers(2, 12), g=hs.floats(0.0, 2.0),
+       model=hs.sampled_from(["ising", "heisenberg"]), seed=hs.integers(0, 2 ** 32 - 1))
+def test_lowest_eigenpair_matches_dense_solve(data, sites, g, model, seed):
+    ham = (mp.ising_hamiltonian(sites, g) if model == "ising"
+           else mp.heisenberg_hamiltonian(sites))
+    k = data.draw(hs.integers(0, sites - 1))
+
+    def local_dim(bond):
+        cap = [min(bond, 2 ** min(j, sites - j)) for j in (k, k + 1)]
+        return cap[0] * 2 * cap[1]
+    bond = data.draw(hs.integers(1, max(b for b in range(1, 17) if local_dim(b) <= 256)))
+    tensors = mp.random_mps(sites, 2, bond, seed).tensors
+    mpo = mp._mpo_tensors(ham)
+    L = R = np.ones((1, 1, 1), dtype=complex)
+    for a, w in zip(tensors[:k], mpo[:k]):
+        L = np.einsum("awb,aic,wijv,bjd->cvd", L, a.conj(), w, a)
+    for a, w in zip(tensors[:k:-1], mpo[:k:-1]):
+        R = np.einsum("cvd,aic,wijv,bjd->awb", R, a.conj(), w, a)
+    vals, vecs = _dense_local_solve(L, mpo[k], R)
+    energy, vec = mp._lowest_eigenpair(mp._heff_matvec(L, mpo[k], R), tensors[k])
+    assert vec.shape == tensors[k].shape
+    assert abs(energy - vals[0]) < 1e-10
+    if vals[1] - vals[0] >= 1e-6:
+        assert abs(abs(np.vdot(vecs[:, 0], vec.ravel())) - 1) < 1e-8
+
+
 def test_nn_hamiltonian_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         mp.NnHamiltonian(num_sites=3, local_dim=2,
