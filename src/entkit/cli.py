@@ -1,10 +1,12 @@
-"""Command-line front end: state-file ingestion, analysis dispatch, reports.
+"""Command-line front end: one argparse tree, one handler per command, reports.
 
 Commands: analyze, classify, polytope, uniformity, stellar, codes (demo/kl),
-mps (compress/dmrg).  Every command is a pure function of its input files,
-flags and seed; reports are emitted as ordered key-value lines with floats
-printed to 12 significant digits.  Exit codes: 0 success, 1 error, 2 success
-with a classification-threshold warning.
+mps (compress/dmrg).  `_build_parser` declares every option's type, domain
+and default; each subparser names its handler.  Every command is a pure
+function of its input files, flags and seed; reports are emitted as ordered
+key-value lines with floats printed to 12 significant digits.  Exit codes:
+0 success, 1 error (one `entkit: error:` line), 2 success with a
+classification-threshold warning.
 """
 
 from __future__ import annotations
@@ -85,19 +87,6 @@ def emit_report(report: Report, path: str | None) -> None:
             fh.write(text)
 
 
-@dataclass(frozen=True)
-class AnalysisRequest:
-    command: str
-    options: dict
-
-
-def _load_state(options) -> PureState:
-    path = options.get("state")
-    if not path:
-        raise ValueError("--state FILE is required")
-    return read_state_file(path)
-
-
 def _add_normalization(report: Report, state: PureState) -> None:
     if abs(state.norm_factor - 1.0) > 1e-12:
         report.add("normalization", state.norm_factor,
@@ -121,12 +110,11 @@ def _classification_entries(report: Report, cls: inv.SloccClass, tol: float) -> 
         report.add("warning", "threshold-marginal classification")
 
 
-def _cmd_analyze(options) -> Report:
+def _cmd_analyze(args) -> Report:
     report = Report(command="analyze")
-    state = _load_state(options)
+    state = read_state_file(args.state)
     if state.dims != (2, 2, 2):
         raise ValueError("analyze expects a three-qubit state")
-    tol = options.get("tol", inv.DET3_CLASS_TOL)
     _add_normalization(report, state)
     li = inv.lu_invariants(state)
     for key, val in [("I1", li.i1), ("I2", li.i2), ("I3", li.i3),
@@ -154,30 +142,28 @@ def _cmd_analyze(options) -> Report:
                      ("canonical_r2", cf.r2), ("canonical_r3", cf.r3),
                      ("canonical_r4", cf.r4), ("canonical_phi", cf.phi)]:
         report.add(key, val)
-    _classification_entries(report, inv.slocc_classify3(state, tol), tol)
+    _classification_entries(report, inv.slocc_classify3(state, args.tol), args.tol)
     return report
 
 
-def _cmd_classify(options) -> Report:
+def _cmd_classify(args) -> Report:
     report = Report(command="classify")
-    state = _load_state(options)
+    state = read_state_file(args.state)
     if state.dims != (2, 2, 2):
         raise ValueError("classify expects a three-qubit state")
-    tol = options.get("tol", inv.DET3_CLASS_TOL)
     _add_normalization(report, state)
-    _classification_entries(report, inv.slocc_classify3(state, tol), tol)
+    _classification_entries(report, inv.slocc_classify3(state, args.tol), args.tol)
     return report
 
 
-def _cmd_polytope(options) -> Report:
+def _cmd_polytope(args) -> Report:
     report = Report(command="polytope")
-    state = _load_state(options)
-    tol = options.get("tol", poly.SLACK_TOL)
+    state = read_state_file(args.state)
     _add_normalization(report, state)
     spectra = poly.local_spectra(state)
     for k, lam in enumerate(spectra.lambdas, start=1):
         report.add(f"lambda {k}", lam)
-    check = poly.polygon_check(spectra, tol)
+    check = poly.polygon_check(spectra, args.tol)
     for k, slack in enumerate(check.slacks, start=1):
         report.add(f"slack {k}", slack)
     report.add("polygon_pass", check.passed)
@@ -185,31 +171,27 @@ def _cmd_polytope(options) -> Report:
         report.add("boundary", True, note="zero slack within tolerance")
         report.flag_warning()
     if state.num_sites == 3:
-        report.add("w_pyramid", poly.w_pyramid_test(spectra, tol))
+        report.add("w_pyramid", poly.w_pyramid_test(spectra, args.tol))
     report.add("vertex_count", len(poly.polytope_vertices(state.num_sites))
                if 3 <= state.num_sites <= 8 else 0)
     return report
 
 
-def _cmd_uniformity(options) -> Report:
+def _cmd_uniformity(args) -> Report:
     report = Report(command="uniformity")
-    state = _load_state(options)
-    tol = options.get("tol", uni.KUNIFORM_TOL)
+    state = read_state_file(args.state)
     _add_normalization(report, state)
-    kmax = options.get("max_k", state.num_sites // 2)
-    kmax = min(kmax, state.num_sites // 2)
-    for k in range(1, kmax + 1):
+    for k in range(1, min(args.max_k, state.num_sites // 2) + 1):
         report.add(f"Q{k}", uni.q_measure(state, k))
-    level = uni.k_uniform_level(state, tol)
+    level = uni.k_uniform_level(state, args.tol)
     report.add("k_uniform", level)
     report.add("is_ame", state.num_sites >= 2 and level == state.num_sites // 2)
     return report
 
 
-def _cmd_stellar(options) -> Report:
+def _cmd_stellar(args) -> Report:
     report = Report(command="stellar")
-    state = _load_state(options)
-    tol = options.get("tol", stell.DEGENERACY_TOL)
+    state = read_state_file(args.state)
     _add_normalization(report, state)
     sym = stell.symmetric_from_pure(state)
     con = stell.to_constellation(sym)
@@ -217,9 +199,9 @@ def _cmd_stellar(options) -> Report:
         report.add(f"star {k}", f"{z.real:.12g} {z.imag:.12g}")
     for k in range(con.inf_count):
         report.add(f"star {len(con.finite_stars) + k + 1}", "inf")
-    report.add("degeneracy", ",".join(str(m) for m in stell.degeneracy_type(con, tol)))
+    report.add("degeneracy", ",".join(str(m) for m in stell.degeneracy_type(con, args.tol)))
     if sym.num_qubits in (3, 4):
-        cls = stell.classify_sym(sym, tol)
+        cls = stell.classify_sym(sym, args.tol)
         report.add("class", cls.label)
         if cls.cross_ratio is not None:
             report.add("cross_ratio_re", cls.cross_ratio.real)
@@ -237,17 +219,17 @@ def _cmd_stellar(options) -> Report:
     return report
 
 
-def _named_code(options) -> codes_mod.LinearCode:
-    if options.get("code"):
-        return codes_mod.read_code_file(options["code"])
-    if options.get("repetition"):
+def _named_code(args) -> codes_mod.LinearCode:
+    if args.code:
+        return codes_mod.read_code_file(args.code)
+    if args.repetition:
         return codes_mod.repetition_code()
     return codes_mod.hamming_code()
 
 
-def _cmd_codes_demo(options) -> Report:
+def _cmd_codes_demo(args) -> Report:
     report = Report(command="codes demo")
-    code = _named_code(options)
+    code = _named_code(args)
     report.add("n", code.n)
     report.add("k", code.k)
     d = codes_mod.min_distance(code)
@@ -265,31 +247,24 @@ def _cmd_codes_demo(options) -> Report:
     return report
 
 
-def _cmd_codes_kl(options) -> Report:
+def _cmd_codes_kl(args) -> Report:
     report = Report(command="codes kl")
-    state = _load_state(options)
-    w = options.get("weight")
-    if w is None:
-        raise ValueError("--weight W is required")
-    tol = options.get("tol", codes_mod.KL_TOL)
-    res = codes_mod.knill_laflamme_check(state, int(w), tol)
+    state = read_state_file(args.state)
+    res = codes_mod.knill_laflamme_check(state, args.weight, args.tol)
     report.add("weight", res.weight)
     report.add("num_errors", res.num_errors)
-    report.add("worst_violation", res.worst_violation, note=f"tolerance {tol:g}")
+    report.add("worst_violation", res.worst_violation, note=f"tolerance {args.tol:g}")
     report.add("kl_pass", res.passed)
     return report
 
 
-def _cmd_mps_compress(options) -> Report:
+def _cmd_mps_compress(args) -> Report:
     report = Report(command="mps compress")
-    state = _load_state(options)
-    bond = options.get("max_bond")
-    if bond is None:
-        raise ValueError("--max-bond D is required")
+    state = read_state_file(args.state)
     _add_normalization(report, state)
     full = mps_mod.from_dense(state)
     report.add("bond_dims_exact", ",".join(str(d) for d in full.bond_dims))
-    truncated, discarded = mps_mod.truncate(full, int(bond))
+    truncated, discarded = mps_mod.truncate(full, args.max_bond)
     report.add("bond_dims_truncated", ",".join(str(d) for d in truncated.bond_dims))
     for k, wgt in enumerate(discarded, start=1):
         report.add(f"discarded {k}", wgt)
@@ -297,36 +272,26 @@ def _cmd_mps_compress(options) -> Report:
         report.add(f"entropy {k + 1}", mps_mod.entanglement_entropy(truncated, k))
     report.add("fidelity", abs(mps_mod.to_dense(truncated).overlap(state)) ** 2)
     report.add("canonical_residual", mps_mod.check_canonical(truncated).max_residual)
-    out_mps = options.get("out_mps")
-    if out_mps:
-        mps_mod.write_mps_file(out_mps, truncated)
-        report.add("mps_file", out_mps)
+    if args.out_mps:
+        mps_mod.write_mps_file(args.out_mps, truncated)
+        report.add("mps_file", args.out_mps)
     return report
 
 
-def _cmd_mps_dmrg(options) -> Report:
+def _cmd_mps_dmrg(args) -> Report:
     report = Report(command="mps dmrg")
-    model = options.get("model", "ising")
-    sites = options.get("sites")
-    bond = options.get("max_bond")
-    seed = options.get("seed")
-    if sites is None or bond is None:
-        raise ValueError("--sites K and --bond D are required")
-    if seed is None:
-        raise ValueError("--seed is required for stochastic commands")
-    if model == "ising":
-        ham = mps_mod.ising_hamiltonian(int(sites), float(options.get("g", 0.0)))
-    elif model == "heisenberg":
-        ham = mps_mod.heisenberg_hamiltonian(int(sites))
+    report.add("model", args.model)
+    if args.model == "ising":
+        g = 0.0 if args.g is None else args.g
+        report.add("g", g)
+        ham = mps_mod.ising_hamiltonian(args.sites, g)
+    elif args.g is not None:
+        raise ValueError("--g applies only to --model ising")
     else:
-        raise ValueError(f"unknown model {model!r}")
-    tol = options.get("tol", 1e-10)
-    res = mps_mod.dmrg_ground_state(ham, int(bond), tol=tol, seed=int(seed))
-    report.add("model", model)
-    if model == "ising":
-        report.add("g", float(options.get("g", 0.0)))
-    report.add("sites", int(sites))
-    report.add("bond", int(bond))
+        ham = mps_mod.heisenberg_hamiltonian(args.sites)
+    res = mps_mod.dmrg_ground_state(ham, args.max_bond, tol=args.tol, seed=args.seed)
+    report.add("sites", args.sites)
+    report.add("bond", args.max_bond)
     report.add("energy", res.energy)
     report.add("sweeps", res.num_sweeps)
     report.add("converged", res.converged)
@@ -335,89 +300,95 @@ def _cmd_mps_dmrg(options) -> Report:
     return report
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "classify": _cmd_classify,
-    "polytope": _cmd_polytope,
-    "uniformity": _cmd_uniformity,
-    "stellar": _cmd_stellar,
-    "codes demo": _cmd_codes_demo,
-    "codes kl": _cmd_codes_kl,
-    "mps compress": _cmd_mps_compress,
-    "mps dmrg": _cmd_mps_dmrg,
-}
+class UsageError(ValueError):
+    """A command line the parser refuses."""
 
 
-def run(request: AnalysisRequest) -> Report:
-    """Dispatch a request to the owning module and collect its report."""
-    handler = _COMMANDS.get(request.command)
-    if handler is None:
-        raise ValueError(f"unknown command {request.command!r}")
-    return handler(request.options)
+class _Parser(argparse.ArgumentParser):
+    """Raises instead of printing usage, so a refusal is one error line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _checked(kind, domain: str, ok):
+    """An argparse type that converts with kind and accepts values where ok holds."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {domain}, got {text!r}")
+    return convert
+
+
+_tolerance = _checked(float, "a finite number >= 0", lambda x: 0 <= x < math.inf)
+_count = _checked(int, "an integer >= 0", lambda n: n >= 0)
+_finite = _checked(float, "a finite number", math.isfinite)
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entkit",
-        description="Multipartite entanglement analysis toolbox")
+    parser = _Parser(prog="entkit", description="Multipartite entanglement analysis toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, tol=True):
-        p.add_argument("--state", help="input state file")
+    def command(group, name, handler, tol=None, state=True):
+        p = group.add_parser(name)
+        p.set_defaults(handler=handler)
+        if state:
+            p.add_argument("--state", required=True, help="input state file")
         p.add_argument("--out", help="report destination (default stdout)")
-        if tol:
-            p.add_argument("--tol", type=float, help="override the documented default tolerance")
-        if seed:
-            p.add_argument("--seed", type=int, help="RNG seed (mandatory when stochastic)")
+        if tol is not None:
+            p.add_argument("--tol", type=_tolerance, default=tol,
+                           help="tolerance, finite and >= 0 (default %(default)g)")
+        return p
 
-    for name in ("analyze", "classify", "polytope", "stellar"):
-        common(sub.add_parser(name))
-    p = sub.add_parser("uniformity")
-    common(p)
-    p.add_argument("--max-k", dest="max_k", type=int, help="largest subset size to report")
+    command(sub, "analyze", _cmd_analyze, inv.DET3_CLASS_TOL)
+    command(sub, "classify", _cmd_classify, inv.DET3_CLASS_TOL)
+    command(sub, "polytope", _cmd_polytope, poly.SLACK_TOL)
+    command(sub, "stellar", _cmd_stellar, stell.DEGENERACY_TOL)
+    p = command(sub, "uniformity", _cmd_uniformity, uni.KUNIFORM_TOL)
+    p.add_argument("--max-k", type=_count, default=sys.maxsize,
+                   help="largest subset size to report (default K//2)")
 
     codes = sub.add_parser("codes").add_subparsers(dest="subcommand", required=True)
-    p = codes.add_parser("demo")
-    p.add_argument("--hamming", action="store_true", help="use the [7,4,3] Hamming code")
-    p.add_argument("--repetition", action="store_true", help="use the [12,4,3] repetition code")
-    p.add_argument("--code", help="load a generator matrix from a code file")
-    p.add_argument("--out")
-    p = codes.add_parser("kl")
-    common(p)
-    p.add_argument("--weight", type=int, help="maximal error weight")
+    p = command(codes, "demo", _cmd_codes_demo, state=False)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--hamming", action="store_true",
+                        help="use the [7,4,3] Hamming code (default)")
+    source.add_argument("--repetition", action="store_true",
+                        help="use the [12,4,3] repetition code")
+    source.add_argument("--code", help="load a generator matrix from a code file")
+    p = command(codes, "kl", _cmd_codes_kl, codes_mod.KL_TOL)
+    p.add_argument("--weight", type=_count, required=True, help="maximal error weight")
 
     mps = sub.add_parser("mps").add_subparsers(dest="subcommand", required=True)
-    p = mps.add_parser("compress")
-    common(p, tol=False)
-    p.add_argument("--max-bond", dest="max_bond", type=int, help="bond dimension cap")
-    p.add_argument("--out-mps", dest="out_mps", help="write the compressed MPS here")
-    p = mps.add_parser("dmrg")
-    common(p, seed=True)
+    p = command(mps, "compress", _cmd_mps_compress)
+    p.add_argument("--max-bond", type=int, required=True, help="bond dimension cap")
+    p.add_argument("--out-mps", help="write the compressed MPS here")
+    p = command(mps, "dmrg", _cmd_mps_dmrg, 1e-10, state=False)
+    p.add_argument("--seed", type=_count, required=True, help="RNG seed")
     p.add_argument("--model", choices=("ising", "heisenberg"), default="ising")
-    p.add_argument("--g", type=float, help="transverse field strength")
-    p.add_argument("--sites", type=int, help="chain length")
-    p.add_argument("--bond", dest="max_bond", type=int, help="bond dimension")
+    p.add_argument("--g", type=_finite, help="transverse field strength, ising only (default 0)")
+    p.add_argument("--sites", type=int, required=True, help="chain length")
+    p.add_argument("--bond", dest="max_bond", type=int, required=True, help="bond dimension")
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:   # argparse uses exit code 2, reserved here for warnings
-        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
-    command = args.command
-    if getattr(args, "subcommand", None):
-        command = f"{command} {args.subcommand}"
-    # unset flags are dropped, so options.get(key, default) keeps a given 0
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("command", "subcommand") and v is not None}
-    try:
-        report = run(AnalysisRequest(command=command, options=options))
-    except Exception as exc:  # surface module errors with context, exit 1
+        # a floating-point fault is a refusal of the input, not a wrong report
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report = args.handler(args)
+        emit_report(report, args.out)
+    except SystemExit:  # --help; every refusal raises UsageError instead
+        return EXIT_OK
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"entkit: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    emit_report(report, options.get("out"))
     return report.status
 
 

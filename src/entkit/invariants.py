@@ -223,16 +223,14 @@ def slocc_classify3(state: PureState, tol: float = DET3_CLASS_TOL) -> SloccClass
     ranks = tuple(sum(x > tol for x in s) for s in svals)
     det3_abs = float(abs(hyperdeterminant3(state.amps)))
     ones = ranks.count(1)
-    if ones == 3:
-        label = "Separable"
+    if ones >= 2:
+        # two rank-1 reductions force the third to be rank 1 as well: by the
+        # polygon inequality its second singular value is at most sqrt(2) tol
+        label, ranks = "Separable", (1, 1, 1)
     elif ones == 1:
         label = "Bisep" + "ABC"[ranks.index(1)]
-    elif ones == 0:
-        label = "GHZ" if det3_abs > tol else "W"
     else:
-        # two rank-1 reductions force the third to be rank 1 as well; reaching
-        # this branch means the threshold straddles a singular value
-        raise ArithmeticError(f"inconsistent local ranks {ranks}; adjust tol")
+        label = "GHZ" if det3_abs > tol else "W"
     return SloccClass(label=label, local_ranks=ranks, det3_abs=det3_abs,
                       singular_values=svals)
 

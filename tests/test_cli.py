@@ -1,6 +1,9 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as hs
 
 from entkit import cli
 from entkit import codes as cd
@@ -16,6 +19,9 @@ def _write(tmp_path, name, text):
 
 
 GHZ3 = "dims 2 2 2\n000 1 0\n111 1 0\n"
+DMRG = ["mps", "dmrg", "--sites", "4", "--bond", "2", "--seed", "1"]
+PROPERTY = settings(max_examples=40, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def _key(line):
@@ -265,3 +271,162 @@ def test_mps_dmrg_bad_sizes_are_one_line_errors(capsys, flags, message):
     assert cli.main(["mps", "dmrg", "--model", "ising", "--g", "1", "--seed", "1",
                      *flags]) == 1
     assert capsys.readouterr().err == f"entkit: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--state", "{ghz}", "--tol", "nan"],
+     "argument --tol: expected a finite number >= 0, got 'nan'"),
+    (["classify", "--state", "{ghz}", "--tol", "inf"],
+     "argument --tol: expected a finite number >= 0, got 'inf'"),
+    (["classify", "--state", "{ghz}", "--tol", "-1"],
+     "argument --tol: expected a finite number >= 0, got '-1'"),
+    (["classify", "--state", "{ghz}", "--tol", "abc"],
+     "argument --tol: expected a finite number >= 0, got 'abc'"),
+    (["polytope", "--state", "{ghz}", "--tol", "nan"],
+     "argument --tol: expected a finite number >= 0, got 'nan'"),
+    (["codes", "kl", "--state", "{ghz}", "--weight", "-1"],
+     "argument --weight: expected an integer >= 0, got '-1'"),
+    (["uniformity", "--state", "{ghz}", "--max-k", "-1"],
+     "argument --max-k: expected an integer >= 0, got '-1'"),
+    (["mps", "dmrg", "--sites", "4", "--bond", "2", "--seed", "-1"],
+     "argument --seed: expected an integer >= 0, got '-1'"),
+    ([*DMRG, "--g", "nan"], "argument --g: expected a finite number, got 'nan'"),
+    ([*DMRG, "--g", "1e308"], "overflow encountered in dot"),
+    ([*DMRG, "--g", "-1e-3"], "argument --g: expected one argument"),
+    ([*DMRG, "--model", "heisenberg", "--g", "5"], "--g applies only to --model ising"),
+    ([*DMRG, "--state", "{ghz}"], "unrecognized arguments: --state {ghz}"),
+    (["no-such-command"],
+     "argument command: invalid choice: 'no-such-command' (choose from 'analyze', "
+     "'classify', 'polytope', 'stellar', 'uniformity', 'codes', 'mps')"),
+    (["classify"], "the following arguments are required: --state"),
+    (["mps", "compress", "--state", "{ghz}", "--max-bond", "2", "--tol", "1e-3"],
+     "unrecognized arguments: --tol 1e-3"),
+    (["classify", "--state", "{ghz}", "--out", "/nonexistent/dir/r.txt"],
+     "[Errno 2] No such file or directory: '/nonexistent/dir/r.txt'"),
+    (["codes", "demo", "--hamming", "--repetition"],
+     "argument --repetition: not allowed with argument --hamming"),
+    (["codes", "demo", "--code", "{ghz}", "--repetition"],
+     "argument --repetition: not allowed with argument --code"),
+])
+def test_refusals_are_one_line_errors(tmp_path, capsys, argv, message):
+    ghz = _write(tmp_path, "ghz.state", GHZ3)
+    assert cli.main([a.format(ghz=ghz) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"entkit: error: {message.format(ghz=ghz)}\n"
+    assert captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["classify", "--help"]) == 0
+    assert "--tol" in capsys.readouterr().out
+
+
+def test_internal_error_is_not_a_user_error(tmp_path, monkeypatch):
+    def broken(state, tol):
+        raise TypeError("internal fault")
+
+    monkeypatch.setattr(cli.inv, "slocc_classify3", broken)
+    with pytest.raises(TypeError, match="internal fault"):
+        cli.main(["classify", "--state", _write(tmp_path, "ghz.state", GHZ3)])
+
+
+@pytest.mark.parametrize("flags", [["--g=-1e-3"], ["--g", "-0.001"]])
+def test_negative_field_reaches_module(capsys, monkeypatch, flags):
+    seen = []
+    ising = cli.mps_mod.ising_hamiltonian
+    monkeypatch.setattr(cli.mps_mod, "ising_hamiltonian",
+                        lambda sites, g: seen.append(g) or ising(sites, g))
+    code, lines, _ = _run([*DMRG, *flags], capsys)
+    assert code == 0
+    assert seen == [-0.001]
+    assert _value(lines, "g") == "-0.001"
+
+
+def test_straddled_ranks_classify_as_separable(tmp_path, capsys):
+    # sigma_2 is 9e-9 at A and 5e-9 at B, both below tol, but 1.03e-8 at C
+    path = _write(tmp_path, "straddle.state",
+                  "dims 2 2 2\n000 1.0 0.0\n011 5e-09 0.0\n101 9e-09 0.0\n")
+    code, lines, _ = _run(["classify", "--state", path], capsys)
+    assert code == 2
+    assert lines["slocc"] == "slocc Separable"
+    assert [_value(lines, f"rank_{x}") for x in "abc"] == ["1", "1", "1"]
+
+
+def _haar_unitary(rng):
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+@PROPERTY
+@given(seed=hs.integers(0, 2 ** 32 - 1), log_tol=hs.floats(-14, -2),
+       u=hs.floats(0, 1.2), v=hs.floats(0, 1.2), generic=hs.booleans())
+@example(seed=0, log_tol=-8.0, u=0.5, v=0.9, generic=False)
+def test_every_three_qubit_state_gets_a_class(tmp_path, capsys, seed, log_tol, u, v, generic):
+    """Product states perturbed near tol make two sites straddle the rank threshold."""
+    tol = 10.0 ** log_tol
+    rng = np.random.default_rng(seed)
+    if generic:
+        amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    else:
+        amps = np.zeros(8, dtype=complex)
+        amps[0b000], amps[0b011], amps[0b101] = 1.0, u * tol, v * tol
+        if seed:
+            amps = np.einsum("ia,jb,kc,abc->ijk", *(_haar_unitary(rng) for _ in range(3)),
+                             amps.reshape(2, 2, 2)).ravel()
+    state = st.new_state((2, 2, 2), amps)
+    assert cli.inv.slocc_classify3(state, tol).label in {
+        "Separable", "BisepA", "BisepB", "BisepC", "W", "GHZ"}
+    path = str(tmp_path / "psi.state")
+    st.write_state_file(path, state)
+    for command in ("classify", "analyze"):
+        assert cli.main([command, "--state", path, f"--tol={tol!r}"]) in (0, 2)
+        assert capsys.readouterr().err == ""
+
+
+# Values at and past the edge of every option's domain, as the property draws them.
+VALUES = ["0", "1", "2", "-1", "-0.5", "1e-3", "nan", "inf", "-inf", "1e308", "abc", ""]
+COMMANDS = [   # argv with the required options, options to draw, reads --state
+    (["analyze"], ["--tol"], True),
+    (["classify"], ["--tol"], True),
+    (["polytope"], ["--tol"], True),
+    (["stellar"], ["--tol"], True),
+    (["uniformity"], ["--tol", "--max-k"], True),
+    (["codes", "kl", "--weight=1"], ["--tol", "--weight"], True),
+    (["codes", "demo"], ["--code"], False),
+    (["mps", "compress", "--max-bond=2"], ["--max-bond"], True),
+    (["mps", "dmrg", "--sites=3", "--bond=2", "--seed=1"],
+     ["--tol", "--g", "--sites", "--bond", "--seed", "--model"], False),
+]
+
+
+@hs.composite
+def state_files(draw):
+    dims = draw(hs.lists(hs.sampled_from([2, 3]), min_size=2, max_size=4))
+    amps = draw(hs.lists(hs.integers(-2, 2), min_size=int(np.prod(dims)),
+                         max_size=int(np.prod(dims))))
+    lines = [f"dims {' '.join(map(str, dims))}"]
+    for index, a in enumerate(amps):
+        if a:
+            lines.append("".join(map(str, np.unravel_index(index, dims))) + f" {a} 0")
+    return "\n".join(lines) + "\n"
+
+
+@PROPERTY
+@given(command=hs.sampled_from(COMMANDS), text=state_files(), data=hs.data())
+def test_cli_exit_codes_and_error_lines(tmp_path, capsys, command, text, data):
+    argv, options, reads_state = command
+    for _ in range(data.draw(hs.integers(0, 3))):
+        option = data.draw(hs.sampled_from(options))
+        value = data.draw(hs.sampled_from(
+            ["ising", "heisenberg", *VALUES] if option == "--model" else VALUES))
+        argv = [*argv, f"{option}={value}"]
+    if reads_state:
+        argv = [*argv, "--state", _write(tmp_path, "psi.state", text)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert captured.err.startswith("entkit: error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    else:
+        assert captured.err == ""
