@@ -220,7 +220,7 @@ def _cmd_stellar(args) -> Report:
 
 
 def _named_code(args) -> codes_mod.LinearCode:
-    if args.code:
+    if args.code is not None:
         return codes_mod.read_code_file(args.code)
     if args.repetition:
         return codes_mod.repetition_code()

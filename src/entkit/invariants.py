@@ -16,14 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (PureState, DensityMatrix, _hamming_weights, _matricize, partial_trace,
-                     validate_density_matrix)
+from .states import (PureState, DensityMatrix, _hamming_weights, _matricize, apply_local,
+                     partial_trace, validate_density_matrix)
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 DET3_CLASS_TOL = 1e-8     # |Det3| above this counts as GHZ class
 TANGLE_CROSS_CHECK_TOL = 1e-7
+
+CPS_RESTARTS = 32         # closest-product-state search: restarts,
+CPS_MAX_ITER = 512        # iterations per restart,
+CPS_GAIN_TOL = 1e-12      # and the overlap gain that counts as converged
+CANONICAL_ZERO_TOL = 1e-10  # canonical amplitudes at or below this count as zero
 
 SLOCC_LABELS = ("Separable", "BisepA", "BisepB", "BisepC", "W", "GHZ")
 
@@ -63,6 +68,13 @@ class SloccClass:
 
 @dataclass(frozen=True)
 class CanonicalForm3:
+    """r4|111> + r1|100> + r2|010> + r3|001> + r0 e^{i phi}|000> with all r >= 0.
+
+    phi lies in [0, pi), since diag(-1, 1) on all three qubits maps phi to
+    phi + pi, and is 0 when any r is at or below CANONICAL_ZERO_TOL.
+    local_unitaries map the input state onto this form.
+    """
+
     r0: float
     r1: float
     r2: float
@@ -215,12 +227,13 @@ def four_tangle(state: PureState) -> float:
 def slocc_classify3(state: PureState, tol: float = DET3_CLASS_TOL) -> SloccClass:
     """SLOCC class of a three-qubit state from local ranks and |Det3|.
 
-    A site's local rank counts its site|rest singular values above tol.
+    A site's local rank counts its site|rest singular values above tol and is
+    at least 1, since the largest of them is at least 1/sqrt(2).
     """
     _require_qubits(state, 3)
     svals = tuple(tuple(map(float, np.linalg.svd(_matricize(state, (site,)), compute_uv=False)))
                   for site in range(3))
-    ranks = tuple(sum(x > tol for x in s) for s in svals)
+    ranks = tuple(max(1, sum(x > tol for x in s)) for s in svals)
     det3_abs = float(abs(hyperdeterminant3(state.amps)))
     ones = ranks.count(1)
     if ones >= 2:
@@ -235,8 +248,7 @@ def slocc_classify3(state: PureState, tol: float = DET3_CLASS_TOL) -> SloccClass
                       singular_values=svals)
 
 
-def _closest_product_state(T: np.ndarray, restarts: int = 32,
-                           max_iter: int = 512, gain_tol: float = 1e-12):
+def _closest_product_state(T: np.ndarray):
     """Alternating power iteration for the rank-one approximation of a 3-tensor.
 
     Returns (local unit vectors, |overlap|).  Restarts are seeded
@@ -248,10 +260,10 @@ def _closest_product_state(T: np.ndarray, restarts: int = 32,
     # all restarts iterate in lockstep as one batched power iteration
     vecs = []
     for d in T.shape:
-        x = rng.standard_normal((restarts, d)) + 1j * rng.standard_normal((restarts, d))
+        x = rng.standard_normal((CPS_RESTARTS, d)) + 1j * rng.standard_normal((CPS_RESTARTS, d))
         vecs.append(x / np.linalg.norm(x, axis=1, keepdims=True))
-    prev = np.zeros(restarts)
-    for _ in range(max_iter):
+    prev = np.zeros(CPS_RESTARTS)
+    for _ in range(CPS_MAX_ITER):
         for k in range(3):
             others = [vecs[j].conj() for j in range(3) if j != k]
             w = np.einsum(subs[k], T, *others, optimize=True)
@@ -260,7 +272,7 @@ def _closest_product_state(T: np.ndarray, restarts: int = 32,
             vecs[k] = w
         ov = np.abs(np.einsum("abc,ra,rb,rc->r", T, vecs[0].conj(),
                               vecs[1].conj(), vecs[2].conj(), optimize=True))
-        done = np.all(ov - prev < gain_tol)
+        done = np.all(ov - prev < CPS_GAIN_TOL)
         prev = ov
         if done:
             break
@@ -294,66 +306,51 @@ def _unitary_sending_to_one(x: np.ndarray) -> np.ndarray:
 
 
 def canonical_form3(state: PureState) -> CanonicalForm3:
-    """Five-parameter canonical form of a three-qubit state.
+    """Canonical form r4|111> + r1|100> + r2|010> + r3|001> + r0 e^{i phi}|000>.
 
     Rotates the closest product state to |111>, which zeroes the amplitudes
-    on 110, 101 and 011, then strips phases so that the amplitudes on 111,
-    100, 010, 001 are real non-negative, leaving one phase on |000>.
+    on 110, 101 and 011 (Carteret, Higuchi and Sudbery, J. Math. Phys. 41,
+    7932 (2000)), then applies site phase gates that make those on 111, 100,
+    010 and 001 real and non-negative.  The sign gate diag(-1, 1) on all three
+    qubits flips only the sign of |000>, so phi is reported in [0, pi) (Acin
+    et al., PRL 85, 1560 (2000)).  phi = 0 when any r is at or below
+    CANONICAL_ZERO_TOL: the phase gates then make every amplitude real.
     Returns the parameters together with the realizing local unitaries.
     """
     _require_qubits(state, 3)
     vecs, _ = _closest_product_state(state.tensor)
     base = [_unitary_sending_to_one(x) for x in vecs]
-    rotated = state.tensor
-    for k, u in enumerate(base):
-        rotated = np.moveaxis(np.tensordot(u, rotated, axes=([1], [k])), 0, k)
-    c = rotated.ravel()
-
-    # Diagonal phase gates diag(e^{i p_0}, e^{i p_1}) per site multiply the
-    # amplitude on bitstring b by exp(i sum_k p_{b_k}^{(k)}).  Strip the phases
-    # of the nonzero amplitudes in the order 111, 100, 010, 001, then also 000
-    # whenever the remaining gauge freedom allows (it does unless all five are
-    # nonzero, in which case the residual phase on 000 is the parameter phi).
-    rows, rhs = [], []
-    basis_rows = {
-        0b111: (0, 1, 0, 1, 0, 1),
-        0b100: (0, 1, 1, 0, 1, 0),
-        0b010: (1, 0, 0, 1, 1, 0),
-        0b001: (1, 0, 1, 0, 0, 1),
-        0b000: (1, 0, 1, 0, 1, 0),
-    }
-    for idx in (0b111, 0b100, 0b010, 0b001, 0b000):
-        if abs(c[idx]) <= 1e-15:
-            continue
-        row = np.array(basis_rows[idx], dtype=float)
-        if rows:
-            A = np.array(rows)
-            coef, res = np.linalg.lstsq(A.T, row, rcond=None)[:2]
-            in_span = np.linalg.norm(row - coef @ A) < 1e-9
-        else:
-            in_span = False
-        if not in_span:
-            rows.append(row)
-            rhs.append(-float(np.angle(c[idx])))
-    if rows:
-        p = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
+    c = apply_local(state, base).amps
+    theta = np.angle(c)
+    nonzero = np.abs(c) > CANONICAL_ZERO_TOL
+    singles = [0b100, 0b010, 0b001]
+    # The gate diag(e^{i a_k}, e^{i(a_k + x_k)}) on each site k multiplies the
+    # amplitude on bits b by exp(i(s + b.x)) with s = a_0 + a_1 + a_2.  |c_111|
+    # is the closest-product overlap, never below 2/3 (the W state's).
+    phi = 0.0
+    if nonzero[singles].all():
+        # real 111 and singles fix 2s, hence s only mod pi: the sign gate
+        s = (theta[0b111] - theta[singles].sum()) / 2
+        if nonzero[0b000]:
+            phi = (theta[0b000] + s) % np.pi
+            if np.pi - phi < 1e-12:   # within rounding of pi: snap to 0
+                phi -= np.pi
+            s = phi - theta[0b000]
+            phi = max(phi, 0.0)
+        x = -theta[singles] - s
     else:
-        p = np.zeros(6)
-    phases = ((p[0], p[1]), (p[2], p[3]), (p[4], p[5]))
-    unitaries = tuple(np.diag([np.exp(1j * p0), np.exp(1j * p1)]) @ u
-                      for (p0, p1), u in zip(phases, base))
-    final = state.tensor
-    for k, u in enumerate(unitaries):
-        final = np.moveaxis(np.tensordot(u, final, axes=([1], [k])), 0, k)
-    f = final.ravel()
+        s = -theta[0b000] if nonzero[0b000] else 0.0
+        x = np.where(nonzero[singles], -theta[singles] - s, 0.0)
+        free = int(np.argmin(nonzero[singles]))   # a zero single absorbs 111's phase
+        x[free] = -theta[0b111] - s - x.sum()
+    unitaries = tuple(np.diag(np.exp(1j * np.array([a, a + xk]))) @ u
+                      for a, xk, u in zip((s, 0.0, 0.0), x, base))
+    f = apply_local(state, unitaries).amps
     residual = max(abs(f[0b110]), abs(f[0b101]), abs(f[0b011]))
     if residual > 1e-8:
         raise ArithmeticError(
             f"canonical-form search did not converge (zero-pattern residual {residual:.2e})")
-    phi = float(np.angle(f[0b000])) % (2 * np.pi) if abs(f[0b000]) > 1e-15 else 0.0
-    if 2 * np.pi - phi < 1e-12:
-        phi = 0.0
     return CanonicalForm3(
         r0=float(abs(f[0b000])), r1=float(abs(f[0b100])), r2=float(abs(f[0b010])),
-        r3=float(abs(f[0b001])), r4=float(abs(f[0b111])), phi=phi,
+        r3=float(abs(f[0b001])), r4=float(abs(f[0b111])), phi=float(phi),
         local_unitaries=unitaries, overlap=float(abs(f[0b111])))

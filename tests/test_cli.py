@@ -307,6 +307,7 @@ def test_mps_dmrg_bad_sizes_are_one_line_errors(capsys, flags, message):
      "argument --repetition: not allowed with argument --hamming"),
     (["codes", "demo", "--code", "{ghz}", "--repetition"],
      "argument --repetition: not allowed with argument --code"),
+    (["codes", "demo", "--code", ""], "[Errno 2] No such file or directory: ''"),
 ])
 def test_refusals_are_one_line_errors(tmp_path, capsys, argv, message):
     ghz = _write(tmp_path, "ghz.state", GHZ3)
@@ -347,6 +348,15 @@ def test_straddled_ranks_classify_as_separable(tmp_path, capsys):
     path = _write(tmp_path, "straddle.state",
                   "dims 2 2 2\n000 1.0 0.0\n011 5e-09 0.0\n101 9e-09 0.0\n")
     code, lines, _ = _run(["classify", "--state", path], capsys)
+    assert code == 2
+    assert lines["slocc"] == "slocc Separable"
+    assert [_value(lines, f"rank_{x}") for x in "abc"] == ["1", "1", "1"]
+
+
+def test_tol_above_every_singular_value_keeps_rank_one(tmp_path, capsys):
+    # GHZ's largest singular value at every site is 1/sqrt(2), below tol 1
+    code, lines, _ = _run(["classify", "--state", _write(tmp_path, "ghz.state", GHZ3),
+                           "--tol", "1"], capsys)
     assert code == 2
     assert lines["slocc"] == "slocc Separable"
     assert [_value(lines, f"rank_{x}") for x in "abc"] == ["1", "1", "1"]

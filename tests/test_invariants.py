@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from entkit import states as st
 from entkit import invariants as inv
@@ -319,3 +321,43 @@ def test_canonical_form_zero_pattern_and_reconstruction():
         assert abs(norm - 1.0) < 1e-9
     assert worst_zero < 1e-8
     assert worst_rec < 1e-7
+
+
+def _canonical_params(cf):
+    return np.array([cf.r0, cf.r1, cf.r2, cf.r3, cf.r4]), cf.phi
+
+
+def _canonical_state(r, phi):
+    amps = np.zeros(8, dtype=complex)
+    amps[0b000] = r[0] * np.exp(1j * phi)
+    amps[0b100], amps[0b010], amps[0b001], amps[0b111] = r[1:]
+    return st.new_state((2, 2, 2), amps)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=hs.integers(0, 2 ** 32 - 1), lu_seed=hs.integers(0, 2 ** 32 - 1))
+def test_canonical_form_is_lu_invariant(seed, lu_seed):
+    s = _rand3(seed)
+    rng = np.random.default_rng(lu_seed)
+    r, phi = _canonical_params(inv.canonical_form3(s))
+    r_lu, phi_lu = _canonical_params(inv.canonical_form3(
+        st.apply_local(s, [st.haar_unitary(2, rng) for _ in range(3)])))
+    r_re, phi_re = _canonical_params(inv.canonical_form3(_canonical_state(r, phi)))
+    for other_r, other_phi in [(r_lu, phi_lu), (r_re, phi_re)]:
+        assert np.abs(r - other_r).max() < 1e-10
+        gap = (phi - other_phi) % np.pi
+        assert min(gap, np.pi - gap) < 1e-10
+    assert 0.0 <= phi < np.pi
+
+
+def test_canonical_phase_is_zero_with_a_zero_amplitude():
+    # a state on |000>, |100>, |111> has a canonical amplitude at rounding
+    # level, which must not set phi in any frame
+    for seed in (0, 4, 6, 7, 9):
+        rng = np.random.default_rng(seed)
+        amps = np.zeros(8, dtype=complex)
+        amps[[0b000, 0b100, 0b111]] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        s = st.new_state((2, 2, 2), amps)
+        for _ in range(5):
+            rotated = st.apply_local(s, [st.haar_unitary(2, rng) for _ in range(3)])
+            assert inv.canonical_form3(rotated).phi == 0.0
