@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as hs
 
 from entkit import states as st
 from entkit import invariants as inv
+from entkit import polytope as poly
 
 
 def _rand3(seed):
@@ -361,3 +364,127 @@ def test_canonical_phase_is_zero_with_a_zero_amplitude():
         for _ in range(5):
             rotated = st.apply_local(s, [st.haar_unitary(2, rng) for _ in range(3)])
             assert inv.canonical_form3(rotated).phi == 0.0
+
+
+def _reference_closest_product_state(T):
+    """The einsum formulation of the closest-product-state search, kept as the reference.
+
+    Same seed, restarts, gain rule and tie rule as the library routine; each
+    contraction is a general einsum and the polish stops on a step below 1e-13.
+    """
+    subs = ("abc,rb,rc->ra", "abc,ra,rc->rb", "abc,ra,rb->rc")
+    rng = np.random.default_rng(0x5EED)
+    vecs = []
+    for d in T.shape:
+        x = rng.standard_normal((inv.CPS_RESTARTS, d)) + 1j * rng.standard_normal((inv.CPS_RESTARTS, d))
+        vecs.append(x / np.linalg.norm(x, axis=1, keepdims=True))
+    prev = np.zeros(inv.CPS_RESTARTS)
+    for _ in range(inv.CPS_MAX_ITER):
+        for k in range(3):
+            others = [vecs[j].conj() for j in range(3) if j != k]
+            w = np.einsum(subs[k], T, *others, optimize=True)
+            nw = np.linalg.norm(w, axis=1, keepdims=True)
+            np.divide(w, nw, out=w, where=nw > 0)
+            vecs[k] = w
+        ov = np.abs(np.einsum("abc,ra,rb,rc->r", T, vecs[0].conj(),
+                              vecs[1].conj(), vecs[2].conj(), optimize=True))
+        done = np.all(ov - prev < inv.CPS_GAIN_TOL)
+        prev = ov
+        if done:
+            break
+    near_best = np.nonzero(prev >= prev.max() - 1e-15)[0]
+    winner = int(near_best[0])
+    vecs = [v[winner] for v in vecs]
+    for _ in range(4096):
+        vecs, step = _reference_sweep(T, vecs)
+        if step < 1e-13:
+            break
+    ov = abs(np.einsum("abc,a,b,c->", T,
+                       vecs[0].conj(), vecs[1].conj(), vecs[2].conj()))
+    return vecs, ov
+
+
+def _reference_sweep(T, vecs):
+    """One phase-aligned polish sweep; returns the new vectors and the largest step."""
+    single_subs = ("abc,b,c->a", "abc,a,c->b", "abc,a,b->c")
+    vecs = list(vecs)
+    step = 0.0
+    for k in range(3):
+        others = [vecs[j].conj() for j in range(3) if j != k]
+        w = np.einsum(single_subs[k], T, *others)
+        nw = np.linalg.norm(w)
+        if nw > 0.0:
+            w = w / nw
+            w = w * np.exp(-1j * np.angle(np.vdot(vecs[k], w)))
+            step = max(step, float(np.linalg.norm(w - vecs[k])))
+            vecs[k] = w
+    return vecs, step
+
+
+_REPRESENTATIVES = {name: make for name, make, _ in TABLE_ROWS}
+_STATE_KINDS = ("haar", *_REPRESENTATIVES)
+
+
+def _kind_state(kind, seed):
+    """A Haar-random state, or the SLOCC representative of TABLE_ROWS named kind."""
+    return _rand3(seed) if kind == "haar" else _REPRESENTATIVES[kind]()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kind=hs.sampled_from(_STATE_KINDS), seed=hs.integers(0, 2 ** 32 - 1),
+       lu_seed=hs.integers(0, 2 ** 32 - 1))
+def test_closest_product_state_matches_einsum_reference(kind, seed, lu_seed):
+    # vectors are not compared: GHZ has two tied maxima and W a circle of them
+    rng = np.random.default_rng(lu_seed)
+    s = st.apply_local(_kind_state(kind, seed), [st.haar_unitary(2, rng) for _ in range(3)])
+    _, ov = inv._closest_product_state(s.tensor)
+    _, ov_ref = _reference_closest_product_state(s.tensor)
+    assert abs(ov - ov_ref) < 1e-13
+    r, phi = _canonical_params(inv.canonical_form3(s))
+    with mock.patch.object(inv, "_closest_product_state", _reference_closest_product_state):
+        r_ref, phi_ref = _canonical_params(inv.canonical_form3(s))
+    assert np.abs(r - r_ref).max() < 1e-10
+    gap = (phi - phi_ref) % np.pi
+    assert min(gap, np.pi - gap) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [27, 140, 159, 244])
+def test_closest_product_state_reaches_the_fixed_point(seed):
+    # on these seeds a polish stopped by a 1e-13 step ends 6e-13 to 1.2e-12 from
+    # the fixed point, because the sweeps converge only linearly
+    T = _rand3(seed).tensor
+    vecs, _ = inv._closest_product_state(T)
+    ref, _ = _reference_closest_product_state(T)
+    for _ in range(4096):
+        ref, step = _reference_sweep(T, ref)
+        if step < 1e-15:
+            break
+    for v, r in zip(vecs, ref):
+        aligned = v * np.exp(1j * np.angle(np.vdot(v, r)))
+        assert np.linalg.norm(aligned - r) < 5e-13
+
+
+def _lu_fields(s):
+    return _ivec(inv.lu_invariants(s))
+
+
+def _tangle_fields(s):
+    tr = inv.tangle_report(s)
+    return np.array([tr.tau_a_bc, tr.tau_b_ac, tr.tau_c_ab, tr.tau_ab, tr.tau_bc, tr.tau_ac,
+                     tr.tau1, tr.tau2, tr.tau3, *tr.monogamy_residuals])
+
+
+def _spectra_fields(s):
+    return np.array(poly.local_spectra(s).lambdas)
+
+
+@pytest.mark.parametrize("fields", [_lu_fields, _tangle_fields, _spectra_fields],
+                         ids=["lu_invariants", "tangle_report", "local_spectra"])
+@settings(max_examples=30, deadline=None, database=None)
+@given(kind=hs.sampled_from(_STATE_KINDS), seed=hs.integers(0, 2 ** 32 - 1),
+       lu_seed=hs.integers(0, 2 ** 32 - 1))
+def test_analyze_quantities_are_lu_invariant(fields, kind, seed, lu_seed):
+    rng = np.random.default_rng(lu_seed)
+    s = _kind_state(kind, seed)
+    rotated = st.apply_local(s, [st.haar_unitary(2, rng) for _ in range(3)])
+    assert np.abs(fields(s) - fields(rotated)).max() < 1e-10
