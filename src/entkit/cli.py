@@ -2,11 +2,14 @@
 
 Commands: analyze, classify, polytope, uniformity, stellar, codes (demo/kl),
 mps (compress/dmrg).  `_build_parser` declares every option's type, domain
-and default; each subparser names its handler.  Every command is a pure
-function of its input files, flags and seed; reports are emitted as ordered
-key-value lines with floats printed to 12 significant digits.  Exit codes:
-0 success, 1 error (one `entkit: error:` line), 2 success with a
-classification-threshold warning.
+and default; each subparser names its handler, its report title and whether
+it needs three qubits.  `main` reads `--state` once, refuses a wrong shape,
+echoes a rescaled input as `normalization` and hands the state (None for
+`codes demo` and `mps dmrg`) to the handler, which only adds report entries.
+Every command is a pure function of its input files, flags and seed; reports
+are emitted as ordered key-value lines with floats printed to 12 significant
+digits.  Exit codes: 0 success, 1 error (one `entkit: error:` line), 2
+success with a classification-threshold warning.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from . import mps as mps_mod
 from . import polytope as poly
 from . import stellar as stell
 from . import uniformity as uni
-from .states import read_state_file, PureState
+from .states import read_state_file
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -87,35 +90,12 @@ def emit_report(report: Report, path: str | None) -> None:
             fh.write(text)
 
 
-def _add_normalization(report: Report, state: PureState) -> None:
-    if abs(state.norm_factor - 1.0) > 1e-12:
-        report.add("normalization", state.norm_factor,
-                   note="input was rescaled to unit norm")
-
-
 def _near(value: float, tol: float) -> bool:
     """True when a thresholded quantity falls inside the two-decade margin."""
     return tol / 100.0 < value < tol * 100.0
 
 
-def _classification_entries(report: Report, cls: inv.SloccClass, tol: float) -> None:
-    report.add("slocc", cls.label)
-    report.add("rank_a", cls.local_ranks[0])
-    report.add("rank_b", cls.local_ranks[1])
-    report.add("rank_c", cls.local_ranks[2])
-    report.add("det3_abs", cls.det3_abs, note=f"class threshold {tol:g}")
-    margins = [cls.det3_abs, *(x for s in cls.singular_values for x in s)]
-    if any(_near(v, tol) for v in margins):
-        report.flag_warning()
-        report.add("warning", "threshold-marginal classification")
-
-
-def _cmd_analyze(args) -> Report:
-    report = Report(command="analyze")
-    state = read_state_file(args.state)
-    if state.dims != (2, 2, 2):
-        raise ValueError("analyze expects a three-qubit state")
-    _add_normalization(report, state)
+def _cmd_analyze(args, state, report) -> None:
     li = inv.lu_invariants(state)
     for key, val in [("I1", li.i1), ("I2", li.i2), ("I3", li.i3),
                      ("I4", li.i4), ("I5", li.i5), ("I6", li.i6)]:
@@ -142,24 +122,23 @@ def _cmd_analyze(args) -> Report:
                      ("canonical_r2", cf.r2), ("canonical_r3", cf.r3),
                      ("canonical_r4", cf.r4), ("canonical_phi", cf.phi)]:
         report.add(key, val)
-    _classification_entries(report, inv.slocc_classify3(state, args.tol), args.tol)
-    return report
+    _cmd_classify(args, state, report)
 
 
-def _cmd_classify(args) -> Report:
-    report = Report(command="classify")
-    state = read_state_file(args.state)
-    if state.dims != (2, 2, 2):
-        raise ValueError("classify expects a three-qubit state")
-    _add_normalization(report, state)
-    _classification_entries(report, inv.slocc_classify3(state, args.tol), args.tol)
-    return report
+def _cmd_classify(args, state, report) -> None:
+    cls = inv.slocc_classify3(state, args.tol)
+    report.add("slocc", cls.label)
+    report.add("rank_a", cls.local_ranks[0])
+    report.add("rank_b", cls.local_ranks[1])
+    report.add("rank_c", cls.local_ranks[2])
+    report.add("det3_abs", cls.det3_abs, note=f"class threshold {args.tol:g}")
+    margins = [cls.det3_abs, *(x for s in cls.singular_values for x in s)]
+    if any(_near(v, args.tol) for v in margins):
+        report.flag_warning()
+        report.add("warning", "threshold-marginal classification")
 
 
-def _cmd_polytope(args) -> Report:
-    report = Report(command="polytope")
-    state = read_state_file(args.state)
-    _add_normalization(report, state)
+def _cmd_polytope(args, state, report) -> None:
     spectra = poly.local_spectra(state)
     for k, lam in enumerate(spectra.lambdas, start=1):
         report.add(f"lambda {k}", lam)
@@ -174,25 +153,17 @@ def _cmd_polytope(args) -> Report:
         report.add("w_pyramid", poly.w_pyramid_test(spectra, args.tol))
     report.add("vertex_count", len(poly.polytope_vertices(state.num_sites))
                if 3 <= state.num_sites <= 8 else 0)
-    return report
 
 
-def _cmd_uniformity(args) -> Report:
-    report = Report(command="uniformity")
-    state = read_state_file(args.state)
-    _add_normalization(report, state)
+def _cmd_uniformity(args, state, report) -> None:
     for k in range(1, min(args.max_k, state.num_sites // 2) + 1):
         report.add(f"Q{k}", uni.q_measure(state, k))
     level = uni.k_uniform_level(state, args.tol)
     report.add("k_uniform", level)
     report.add("is_ame", state.num_sites >= 2 and level == state.num_sites // 2)
-    return report
 
 
-def _cmd_stellar(args) -> Report:
-    report = Report(command="stellar")
-    state = read_state_file(args.state)
-    _add_normalization(report, state)
+def _cmd_stellar(args, state, report) -> None:
     sym = stell.symmetric_from_pure(state)
     con = stell.to_constellation(sym)
     for k, z in enumerate(con.finite_stars, start=1):
@@ -216,7 +187,6 @@ def _cmd_stellar(args) -> Report:
         if fi.i1 is not None:
             report.add("quartic_i1_abs", abs(fi.i1))
             report.add("quartic_i2_abs", abs(fi.i2))
-    return report
 
 
 def _named_code(args) -> codes_mod.LinearCode:
@@ -227,8 +197,7 @@ def _named_code(args) -> codes_mod.LinearCode:
     return codes_mod.hamming_code()
 
 
-def _cmd_codes_demo(args) -> Report:
-    report = Report(command="codes demo")
+def _cmd_codes_demo(args, state, report) -> None:
     code = _named_code(args)
     report.add("n", code.n)
     report.add("k", code.k)
@@ -244,24 +213,17 @@ def _cmd_codes_demo(args) -> Report:
         cw = codes_mod.encode(code, message)
         report.add("encode_input", message)
         report.add("encode_output", "".join(str(b) for b in cw))
-    return report
 
 
-def _cmd_codes_kl(args) -> Report:
-    report = Report(command="codes kl")
-    state = read_state_file(args.state)
+def _cmd_codes_kl(args, state, report) -> None:
     res = codes_mod.knill_laflamme_check(state, args.weight, args.tol)
     report.add("weight", res.weight)
     report.add("num_errors", res.num_errors)
     report.add("worst_violation", res.worst_violation, note=f"tolerance {args.tol:g}")
     report.add("kl_pass", res.passed)
-    return report
 
 
-def _cmd_mps_compress(args) -> Report:
-    report = Report(command="mps compress")
-    state = read_state_file(args.state)
-    _add_normalization(report, state)
+def _cmd_mps_compress(args, state, report) -> None:
     full = mps_mod.from_dense(state)
     report.add("bond_dims_exact", ",".join(str(d) for d in full.bond_dims))
     truncated, discarded = mps_mod.truncate(full, args.max_bond)
@@ -275,11 +237,9 @@ def _cmd_mps_compress(args) -> Report:
     if args.out_mps:
         mps_mod.write_mps_file(args.out_mps, truncated)
         report.add("mps_file", args.out_mps)
-    return report
 
 
-def _cmd_mps_dmrg(args) -> Report:
-    report = Report(command="mps dmrg")
+def _cmd_mps_dmrg(args, state, report) -> None:
     report.add("model", args.model)
     if args.model == "ising":
         g = 0.0 if args.g is None else args.g
@@ -297,7 +257,6 @@ def _cmd_mps_dmrg(args) -> Report:
     report.add("converged", res.converged)
     for i, e in enumerate(res.rayleigh_history, start=1):
         report.add(f"sweep_energy {i}", e)
-    return report
 
 
 class UsageError(ValueError):
@@ -334,9 +293,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="entkit", description="Multipartite entanglement analysis toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(group, name, handler, tol=None, state=True):
+    def command(group, name, handler, tol=None, state=True, three_qubits=False):
         p = group.add_parser(name)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, title=p.prog.removeprefix("entkit "),
+                       three_qubits=three_qubits, state=None)
         if state:
             p.add_argument("--state", required=True, help="input state file")
         p.add_argument("--out", help="report destination (default stdout)")
@@ -345,8 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="tolerance, finite and >= 0 (default %(default)g)")
         return p
 
-    command(sub, "analyze", _cmd_analyze, inv.DET3_CLASS_TOL)
-    command(sub, "classify", _cmd_classify, inv.DET3_CLASS_TOL)
+    command(sub, "analyze", _cmd_analyze, inv.DET3_CLASS_TOL, three_qubits=True)
+    command(sub, "classify", _cmd_classify, inv.DET3_CLASS_TOL, three_qubits=True)
     command(sub, "polytope", _cmd_polytope, poly.SLACK_TOL)
     command(sub, "stellar", _cmd_stellar, stell.DEGENERACY_TOL)
     p = command(sub, "uniformity", _cmd_uniformity, uni.KUNIFORM_TOL)
@@ -382,7 +342,14 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         # a floating-point fault is a refusal of the input, not a wrong report
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            report = args.handler(args)
+            report = Report(command=args.title)
+            state = None if args.state is None else read_state_file(args.state)
+            if args.three_qubits and state.dims != (2, 2, 2):
+                raise ValueError(f"{args.title} expects a three-qubit state")
+            if state is not None and abs(state.norm_factor - 1.0) > 1e-12:
+                report.add("normalization", state.norm_factor,
+                           note="input was rescaled to unit norm")
+            args.handler(args, state, report)
         emit_report(report, args.out)
     except SystemExit:  # --help; every refusal raises UsageError instead
         return EXIT_OK

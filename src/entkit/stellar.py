@@ -30,6 +30,7 @@ INF = complex(math.inf, 0.0)
 
 DEGENERACY_TOL = 1e-7      # chordal-distance clustering threshold
 COEFF_RTOL = 1e-12         # relative cutoff for treating a leading coefficient as zero
+DISCRIMINANT_FLOOR = 1e-11  # |Delta| / max|a_k|^(2(n-1)) at or below this is a repeated root
 
 
 def is_inf(z: complex) -> bool:
@@ -459,15 +460,28 @@ def _cubic_t_covariant(a, u, v):
 _SYZYGY_SAMPLES = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, 1j), (2, -1))
 
 
+def _floored(delta: complex, a) -> complex:
+    # Delta is homogeneous of degree 2(n-1) in the coefficients, so this floor
+    # is scale-free.  Rounding noise of repeated roots stays below 6e-13 of
+    # max|a_k|^(2(n-1)); random symmetric states give at least 3.8e-4.
+    n = len(a) - 1
+    floor = DISCRIMINANT_FLOOR * np.abs(a).max() ** (2 * (n - 1))
+    return 0j if abs(delta) <= floor else complex(delta)
+
+
 def form_invariants(coeffs, degree: int) -> FormInvariants:
-    """Discriminant and companions of a binary form of degree 2, 3 or 4."""
+    """Discriminant and companions of a binary form of degree 2, 3 or 4.
+
+    A discriminant within `DISCRIMINANT_FLOOR` of zero, relative to the
+    coefficients, is returned as exactly 0.
+    """
     a = np.asarray(coeffs, dtype=complex)
     if degree not in (2, 3, 4):
         raise ValueError("degree must be 2, 3 or 4")
     if len(a) != degree + 1:
         raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
     if degree == 2:
-        return FormInvariants(degree=2, discriminant=complex(a[0] * a[2] - a[1] ** 2))
+        return FormInvariants(degree=2, discriminant=_floored(a[0] * a[2] - a[1] ** 2, a))
     if degree == 3:
         delta = _cubic_discriminant(a)
         hess = _cubic_hessian_coeffs(a)
@@ -479,13 +493,13 @@ def form_invariants(coeffs, degree: int) -> FormInvariants:
             h = (hess[0] * u ** 2 + hess[1] * u * v + hess[2] * v ** 2)
             resid = max(resid, abs(t ** 2 - (2 ** 4 * 3 ** 6) * delta * q ** 2 + h ** 3)
                         / (scale * max(abs(u), abs(v)) ** 6))
-        return FormInvariants(degree=3, discriminant=delta,
+        return FormInvariants(degree=3, discriminant=_floored(delta, a),
                               hessian_coeffs=hess, syzygy_residual=resid)
     i1 = a[0] * a[4] - 4 * a[1] * a[3] + 3 * a[2] ** 2
     i2 = complex(np.linalg.det(np.array([[a[0], a[1], a[2]],
                                          [a[1], a[2], a[3]],
                                          [a[2], a[3], a[4]]], dtype=complex)))
-    return FormInvariants(degree=4, discriminant=complex(i1 ** 3 - 27 * i2 ** 2),
+    return FormInvariants(degree=4, discriminant=_floored(i1 ** 3 - 27 * i2 ** 2, a),
                           i1=complex(i1), i2=i2)
 
 

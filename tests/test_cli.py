@@ -68,9 +68,21 @@ def test_analyze_w_state(tmp_path, capsys):
 
 def test_analyze_rejects_wrong_shape(tmp_path, capsys):
     path = _write(tmp_path, "bell.state", "dims 2 2\n00 1 0\n11 1 0\n")
-    code = cli.main(["analyze", "--state", path])
-    assert code == 1
-    assert "three-qubit" in capsys.readouterr().err
+    for command in ("analyze", "classify"):
+        assert cli.main([command, "--state", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"entkit: error: {command} expects a three-qubit state\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", ["analyze", "classify", "polytope", "uniformity", "stellar",
+                                  "codes kl --weight 1", "mps compress --max-bond 2"])
+def test_every_state_command_echoes_a_rescaled_input(tmp_path, capsys, argv):
+    path = _write(tmp_path, "ghz.state", "dims 2 2 2\n000 2 0\n111 2 0\n")
+    assert cli.main([*argv.split(), "--state", path]) == 0
+    assert capsys.readouterr().out.startswith(
+        f"# entkit report: {argv.split(' --')[0]}\n"
+        "normalization 2.82842712475  # input was rescaled to unit norm\n")
 
 
 def test_uniformity_ame43(tmp_path, capsys):
@@ -105,6 +117,16 @@ def test_stellar_ghz(tmp_path, capsys):
     assert code == 0
     assert _value(lines, "degeneracy") == "1,1,1"
     assert lines["class"].endswith("GHZ")
+
+
+def test_stellar_rotated_w3_has_zero_discriminant(tmp_path, capsys):
+    u = st.haar_unitary(2, np.random.default_rng(5))
+    path = str(tmp_path / "w3.state")
+    st.write_state_file(path, st.apply_local(st.w_state(3), [u] * 3))
+    code, lines, _ = _run(["stellar", "--state", path], capsys)
+    assert code == 0
+    assert _value(lines, "degeneracy") == "2,1"
+    assert _value(lines, "discriminant_abs") == "0"
 
 
 def test_codes_demo_hamming(capsys):

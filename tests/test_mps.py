@@ -226,6 +226,22 @@ def test_overlap_matches_dense_property(data, sites, boundary, seed):
     assert abs(mp.overlap(a, b) / (mp.norm(a) * mp.norm(b)) - dense) < 1e-10
 
 
+def _at_most_4096_amplitudes(dims):
+    while np.prod(dims) > 4096:
+        dims = dims[:-1]
+    return tuple(dims)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(dims=hs.lists(hs.integers(2, 5), min_size=1, max_size=12).map(_at_most_4096_amplitudes),
+       seed=hs.integers(0, 2 ** 32 - 1))
+def test_dense_round_trip_keeps_every_amplitude(dims, seed):
+    s = st.random_state(dims, seed)
+    back = mp.to_dense(mp.from_dense(s))
+    assert back.dims == s.dims
+    assert np.abs(back.amps - s.amps).max() < 1e-12
+
+
 def test_scaling_experiment_dense_guard():
     with pytest.raises(ValueError, match="guard"):
         mp.scaling_experiment(30, 2, "random", 1, seed=0)

@@ -348,6 +348,19 @@ def test_discriminant_vanishes_iff_repeated_root():
         assert abs(sl.form_invariants(a, degree).discriminant) < 1e-9
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(mults=hs.sampled_from([(2, 1), (3,), (2, 1, 1), (2, 2), (3, 1), (4,)]),
+       seed=hs.integers(0, 2 ** 32 - 1))
+def test_repeated_stars_have_zero_discriminant(mults, seed):
+    rng = np.random.default_rng(seed)
+    stars = [z for m in mults for z in [complex(*rng.standard_normal(2))] * m]
+    K = len(stars)
+    u = st.haar_unitary(2, rng)
+    pure = st.apply_local(sl.symmetric_to_pure(sl.from_constellation(stars)), [u] * K)
+    a = sl.form_from_sym(sl.symmetric_from_pure(pure))
+    assert sl.form_invariants(a, K).discriminant == 0
+
+
 def test_cubic_discriminant_weight_six():
     rng = np.random.default_rng(18)
     for _ in range(100):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+from entkit import codes as cd
 from entkit import states as st
 from entkit import uniformity as un
 
@@ -173,3 +176,25 @@ def test_isometry_equivalence():
     s = un.ame52_state()
     rho = st.partial_trace(s, (1, 3))
     assert np.abs(4 * rho.entries - np.eye(4)).max() < 1e-12
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(source=hs.sampled_from(["qubits", "qutrits", "ame43", "ame52"]),
+       sites=hs.integers(1, 6), seed=hs.integers(0, 2 ** 32 - 1))
+def test_uniformity_is_lu_invariant(source, sites, seed):
+    # the KL worst violation is not checked: it is the largest Pauli
+    # expectation, and local unitaries rotate Pauli expectations into each other
+    ame = {"ame43": un.ame43_state, "ame52": un.ame52_state}.get(source)
+    if ame is not None:
+        s = ame()
+    elif source == "qubits":
+        s = st.random_state((2,) * sites, seed)
+    else:
+        s = st.random_state((3,) * min(sites, 4), seed)
+    rng = np.random.default_rng(seed)
+    rotated = st.apply_local(s, [st.haar_unitary(d, rng) for d in s.dims])
+    for k in range(1, s.num_sites // 2 + 1):
+        assert abs(un.q_measure(rotated, k) - un.q_measure(s, k)) < 1e-10
+    assert un.k_uniform_level(rotated) == un.k_uniform_level(s)
+    if ame is not None:
+        assert cd.knill_laflamme_check(rotated, 1).passed
