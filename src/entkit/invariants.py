@@ -25,9 +25,6 @@ _YY = np.kron(SIGMA_Y, SIGMA_Y)
 DET3_CLASS_TOL = 1e-8     # |Det3| above this counts as GHZ class
 TANGLE_CROSS_CHECK_TOL = 1e-7
 
-CPS_RESTARTS = 32         # closest-product-state search: restarts,
-CPS_MAX_ITER = 512        # iterations per restart,
-CPS_GAIN_TOL = 1e-12      # and the overlap gain that counts as converged
 CANONICAL_ZERO_TOL = 1e-10  # canonical amplitudes at or below this count as zero
 
 SLOCC_LABELS = ("Separable", "BisepA", "BisepB", "BisepC", "W", "GHZ")
@@ -71,7 +68,8 @@ class CanonicalForm3:
     """r4|111> + r1|100> + r2|010> + r3|001> + r0 e^{i phi}|000> with all r >= 0.
 
     phi lies in [0, pi), since diag(-1, 1) on all three qubits maps phi to
-    phi + pi, and is 0 when any r is at or below CANONICAL_ZERO_TOL.
+    phi + pi.  An r at or below CANONICAL_ZERO_TOL is reported as 0, and
+    then so is phi.
     local_unitaries map the input state onto this form.
     """
 
@@ -247,73 +245,42 @@ def slocc_classify3(state: PureState, tol: float = DET3_CLASS_TOL) -> SloccClass
                       singular_values=svals)
 
 
-def _site_update(unfoldings: list, vecs: list, k: int) -> np.ndarray:
-    """T contracted with the conjugated vectors of the two sites other than k.
-
-    unfoldings[k] is the (4, 2) matrix np.moveaxis(T, k, 0).reshape(2, 4).T;
-    each vector has shape (2,) or (restarts, 2).
-    """
-    u, v = (vecs[j] for j in range(3) if j != k)
-    outer = (u[..., :, None] * v[..., None, :]).conj()
-    return outer.reshape(u.shape[:-1] + (4,)) @ unfoldings[k]
-
-
 def _closest_product_state(T: np.ndarray):
-    """Alternating power iteration for the rank-one approximation of a 2x2x2 tensor.
+    """Rank-one approximation of a 2x2x2 tensor as a search over site A's Bloch sphere.
 
-    Returns (local unit vectors, |overlap|).  Restarts are seeded
-    deterministically; ties resolve to the earliest restart.
-
-    Every update of site k is one fixed product: the conjugated outer product
-    of the other two vectors, flattened to length 4, times the (4, 2)
-    unfolding of T at site k, built once per call.  After sites 0 and 1 are
-    updated, the norm of site 2's update equals |<x y z|T>|, so each sweep
-    gets the overlap of every restart for free.  The winner is polished
-    until the a-posteriori distance to the fixed point of the linearly
-    converging sweeps, s^2 / (s_prev - s) for successive steps s_prev > s
+    Returns (local unit vectors, |overlap|).  For a unit vector x on site A
+    the best y, z give |<x y z|T>| = sigma_max(M(x)) with M(x) = sum_i x_i* T[i]
+    (Wei and Goldbart, PRA 68, 042307 (2003)).  The search starts at the first
+    maximum of sigma_max^2 over a fixed 24x48 (theta, phi) grid of x, where
+    2 sigma_max^2 = F + sqrt(F^2 - 4|det M|^2) with F = ||M||_F^2.  Each step
+    takes the top singular pair (y, z) of M(x) and sets x to T contracted with
+    y*, z*, normalized: the alternating iteration with sites B and C solved
+    jointly.  <x|new x> = sigma_max > 0, so x keeps its phase.  The search
+    stops when the a-posteriori distance to the fixed point of the linearly
+    converging steps, s^2 / (s_prev - s) for successive steps s_prev > s
     (s_prev = inf before the first), is below 1e-14 and the last step is
-    below 1e-12 (at most 4096 sweeps).
+    below 1e-12 (at most 4096 steps).
     """
-    unfoldings = [np.moveaxis(T, k, 0).reshape(2, 4).T for k in range(3)]
-    rng = np.random.default_rng(0x5EED)
-    # all restarts iterate in lockstep as one batched power iteration
-    vecs = []
-    for d in T.shape:
-        x = rng.standard_normal((CPS_RESTARTS, d)) + 1j * rng.standard_normal((CPS_RESTARTS, d))
-        vecs.append(x / np.linalg.norm(x, axis=1, keepdims=True))
-    prev = np.zeros(CPS_RESTARTS)
-    for _ in range(CPS_MAX_ITER):
-        for k in range(3):
-            w = _site_update(unfoldings, vecs, k)
-            nw = np.linalg.norm(w, axis=1, keepdims=True)
-            np.divide(w, nw, out=w, where=nw > 0)
-            vecs[k] = w
-        ov = nw[:, 0]
-        done = np.all(ov - prev < CPS_GAIN_TOL)
-        prev = ov
-        if done:
-            break
-    near_best = np.nonzero(prev >= prev.max() - 1e-15)[0]
-    winner = int(near_best[0])      # ties resolve to the earliest restart
-    vecs = [v[winner] for v in vecs]
-    # polish the winning restart to a numerical fixed point; the overlap gain
-    # criterion alone leaves O(sqrt(gain)) slack in the amplitudes
+    theta = ((np.arange(24) + 0.5) * np.pi / 24)[:, None]
+    phi = np.arange(48) * np.pi / 24
+    grid = np.stack(np.broadcast_arrays(np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phi)),
+                    axis=-1).reshape(-1, 2)
+    M = np.einsum("gi,ijk->gjk", grid.conj(), T)
+    F = np.sum(np.abs(M) ** 2, axis=(1, 2))
+    det = np.abs(M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0])
+    x = grid[np.argmax(F + np.sqrt(np.maximum(F * F - 4 * det * det, 0.0)))]
     last = np.inf
     for _ in range(4096):
-        step = 0.0
-        for k in range(3):
-            w = _site_update(unfoldings, vecs, k)
-            nw = np.linalg.norm(w)
-            if nw > 0.0:
-                w = w / nw
-                w = w * np.exp(-1j * np.angle(np.vdot(vecs[k], w)))
-                step = max(step, float(np.linalg.norm(w - vecs[k])))
-                vecs[k] = w
+        U, _, Vh = np.linalg.svd(np.tensordot(x.conj(), T, 1))
+        w = np.einsum("ijk,j,k->i", T, U[:, 0].conj(), Vh[0].conj())
+        w /= np.linalg.norm(w)
+        step = float(np.linalg.norm(w - x))
+        x = w
         if step < 1e-12 and step * step < 1e-14 * (last - step):
             break
         last = step
-    ov = abs(np.vdot(vecs[2], _site_update(unfoldings, vecs, 2)))
-    return vecs, ov
+    U, S, Vh = np.linalg.svd(np.tensordot(x.conj(), T, 1))
+    return [x, U[:, 0], Vh[0]], float(S[0])
 
 
 def _unitary_sending_to_one(x: np.ndarray) -> np.ndarray:
@@ -330,8 +297,8 @@ def canonical_form3(state: PureState) -> CanonicalForm3:
     7932 (2000)), then applies site phase gates that make those on 111, 100,
     010 and 001 real and non-negative.  The sign gate diag(-1, 1) on all three
     qubits flips only the sign of |000>, so phi is reported in [0, pi) (Acin
-    et al., PRL 85, 1560 (2000)).  phi = 0 when any r is at or below
-    CANONICAL_ZERO_TOL: the phase gates then make every amplitude real.
+    et al., PRL 85, 1560 (2000)).  An r at or below CANONICAL_ZERO_TOL is
+    reported as 0, and then phi = 0: the phase gates make every amplitude real.
     Returns the parameters together with the realizing local unitaries.
     """
     _require_qubits(state, 3)
@@ -367,7 +334,8 @@ def canonical_form3(state: PureState) -> CanonicalForm3:
     if residual > 1e-8:
         raise ArithmeticError(
             f"canonical-form search did not converge (zero-pattern residual {residual:.2e})")
+    r = np.where(nonzero, np.abs(f), 0.0)
     return CanonicalForm3(
-        r0=float(abs(f[0b000])), r1=float(abs(f[0b100])), r2=float(abs(f[0b010])),
-        r3=float(abs(f[0b001])), r4=float(abs(f[0b111])), phi=float(phi),
-        local_unitaries=unitaries, overlap=float(abs(f[0b111])))
+        r0=float(r[0b000]), r1=float(r[0b100]), r2=float(r[0b010]),
+        r3=float(r[0b001]), r4=float(r[0b111]), phi=float(phi),
+        local_unitaries=unitaries, overlap=float(r[0b111]))

@@ -354,8 +354,8 @@ def test_canonical_form_is_lu_invariant(seed, lu_seed):
 
 
 def test_canonical_phase_is_zero_with_a_zero_amplitude():
-    # a state on |000>, |100>, |111> has a canonical amplitude at rounding
-    # level, which must not set phi in any frame
+    # a state on |000>, |100>, |111> has canonical amplitudes at rounding
+    # level, which are reported as 0 and must not set phi in any frame
     for seed in (0, 4, 6, 7, 9):
         rng = np.random.default_rng(seed)
         amps = np.zeros(8, dtype=complex)
@@ -363,23 +363,31 @@ def test_canonical_phase_is_zero_with_a_zero_amplitude():
         s = st.new_state((2, 2, 2), amps)
         for _ in range(5):
             rotated = st.apply_local(s, [st.haar_unitary(2, rng) for _ in range(3)])
-            assert inv.canonical_form3(rotated).phi == 0.0
+            cf = inv.canonical_form3(rotated)
+            assert cf.phi == 0.0
+            assert cf.r2 == cf.r3 == 0.0
+    rng = np.random.default_rng(1)
+    ghz = st.apply_local(st.ghz_state(3), [st.haar_unitary(2, rng) for _ in range(3)])
+    cf = inv.canonical_form3(ghz)
+    assert cf.r1 == cf.r2 == cf.r3 == 0.0
 
 
 def _reference_closest_product_state(T):
     """The einsum formulation of the closest-product-state search, kept as the reference.
 
-    Same seed, restarts, gain rule and tie rule as the library routine; each
-    contraction is a general einsum and the polish stops on a step below 1e-13.
+    32 seeded restarts iterated in lockstep for at most 512 sweeps until no
+    overlap gains 1e-12, the earliest of the tied best restarts, then a polish
+    of the winner; each contraction is a general einsum and the polish stops
+    on a step below 1e-13.
     """
     subs = ("abc,rb,rc->ra", "abc,ra,rc->rb", "abc,ra,rb->rc")
     rng = np.random.default_rng(0x5EED)
     vecs = []
     for d in T.shape:
-        x = rng.standard_normal((inv.CPS_RESTARTS, d)) + 1j * rng.standard_normal((inv.CPS_RESTARTS, d))
+        x = rng.standard_normal((32, d)) + 1j * rng.standard_normal((32, d))
         vecs.append(x / np.linalg.norm(x, axis=1, keepdims=True))
-    prev = np.zeros(inv.CPS_RESTARTS)
-    for _ in range(inv.CPS_MAX_ITER):
+    prev = np.zeros(32)
+    for _ in range(512):
         for k in range(3):
             others = [vecs[j].conj() for j in range(3) if j != k]
             w = np.einsum(subs[k], T, *others, optimize=True)
@@ -388,7 +396,7 @@ def _reference_closest_product_state(T):
             vecs[k] = w
         ov = np.abs(np.einsum("abc,ra,rb,rc->r", T, vecs[0].conj(),
                               vecs[1].conj(), vecs[2].conj(), optimize=True))
-        done = np.all(ov - prev < inv.CPS_GAIN_TOL)
+        done = np.all(ov - prev < 1e-12)
         prev = ov
         if done:
             break
@@ -446,6 +454,34 @@ def test_closest_product_state_matches_einsum_reference(kind, seed, lu_seed):
     assert np.abs(r - r_ref).max() < 1e-10
     gap = (phi - phi_ref) % np.pi
     assert min(gap, np.pi - gap) < 1e-10
+
+
+def _known_optimum(kind, rng):
+    """A three-qubit state and its largest overlap with a product state."""
+    if kind == "ghz":
+        return st.ghz_state(3), 1 / np.sqrt(2)
+    if kind == "w":
+        return st.w_state(3), 2 / 3
+    if kind == "000":
+        return st.basis_state((2, 2, 2), "000"), 1.0
+    if kind == "0_bell":
+        return st.new_state((2, 2, 2), [1, 0, 0, 1, 0, 0, 0, 0]), 1 / np.sqrt(2)
+    t, chi = rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi)
+    amps = np.zeros(8, dtype=complex)
+    amps[[0b000, 0b111]] = np.cos(t), np.sin(t) * np.exp(1j * chi)
+    return st.new_state((2, 2, 2), amps), max(np.cos(t), np.sin(t))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kind=hs.sampled_from(("ghz", "w", "000", "0_bell", "a000_b111")),
+       lu_seed=hs.integers(0, 2 ** 32 - 1))
+def test_closest_product_state_reaches_a_known_optimum(kind, lu_seed):
+    # tied or degenerate maxima: the grid may start near any of them
+    rng = np.random.default_rng(lu_seed)
+    s, best = _known_optimum(kind, rng)
+    s = st.apply_local(s, [st.haar_unitary(2, rng) for _ in range(3)])
+    _, ov = inv._closest_product_state(s.tensor)
+    assert abs(ov - best) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [27, 140, 159, 244])
