@@ -27,8 +27,6 @@ TANGLE_CROSS_CHECK_TOL = 1e-7
 
 CANONICAL_ZERO_TOL = 1e-10  # canonical amplitudes at or below this count as zero
 
-SLOCC_LABELS = ("Separable", "BisepA", "BisepB", "BisepC", "W", "GHZ")
-
 
 @dataclass(frozen=True)
 class LuInvariants:

@@ -30,7 +30,6 @@ INF = complex(math.inf, 0.0)
 
 DEGENERACY_TOL = 1e-7      # chordal-distance clustering threshold
 COEFF_RTOL = 1e-12         # relative cutoff for treating a leading coefficient as zero
-DISCRIMINANT_FLOOR = 1e-11  # |Delta| / max|a_k|^(2(n-1)) at or below this is a repeated root
 
 
 def is_inf(z: complex) -> bool:
@@ -65,14 +64,15 @@ class SymmetricState:
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Unordered multiset of points on the extended complex plane."""
+    """Multiset of points on the extended complex plane; finite stars sorted by (re, im)."""
 
     finite_stars: np.ndarray
     inf_count: int = 0
 
-    @property
-    def num_stars(self) -> int:
-        return len(self.finite_stars) + self.inf_count
+    def __post_init__(self):
+        stars = np.sort(np.asarray(self.finite_stars, dtype=complex), kind="stable")
+        stars.setflags(write=False)
+        object.__setattr__(self, "finite_stars", stars)
 
     def all_stars(self) -> list:
         return list(self.finite_stars) + [INF] * self.inf_count
@@ -136,19 +136,21 @@ def symmetric_from_pure(state: PureState, tol: float = 1e-10) -> SymmetricState:
     return SymmetricState(num_qubits=K, dicke_coeffs=coeffs)
 
 
+def _majorana_weights(K: int) -> np.ndarray:
+    """(-1)^k sqrt(C(K, k)) for k = 0..K: the Dicke coefficient d_k's weight in p(z)."""
+    return np.array([(-1) ** k * math.sqrt(comb(K, k)) for k in range(K + 1)])
+
+
 def symmetric_to_pure(sym: SymmetricState) -> PureState:
     """Expand Dicke coefficients into the full 2^K amplitude vector."""
     K = sym.num_qubits
-    sqrt_binomials = np.array([math.sqrt(comb(K, k)) for k in range(K + 1)])
-    v = (sym.dicke_coeffs / sqrt_binomials)[_hamming_weights(K)]
+    v = (sym.dicke_coeffs / np.abs(_majorana_weights(K)))[_hamming_weights(K)]
     return new_state((2,) * K, v)
 
 
 def majorana_coefficients(sym: SymmetricState) -> np.ndarray:
-    """Coefficients of p(z), highest power first."""
-    K = sym.num_qubits
-    return np.array([(-1) ** k * math.sqrt(comb(K, k)) * sym.dicke_coeffs[k]
-                     for k in range(K + 1)])
+    """Coefficients of p(z), highest power first: the numbers form_invariants roots."""
+    return form_polynomial_coeffs(form_from_sym(sym), sym.num_qubits)
 
 
 def _newton_polish(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -189,7 +191,9 @@ def _snap_multiple_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     radius ~eps^(1/m), far beyond any sensible coincidence tolerance.  A
     cluster is collapsed onto the Newton-refined root of the (m-1)-th
     derivative, but only if all lower derivatives vanish there to rounding
-    accuracy, so nearby-but-distinct roots are left untouched.
+    accuracy, so nearby-but-distinct roots are left untouched.  A cluster
+    that fails is split again at a tenth of the radius, at most six times,
+    so a multiple root beside a distinct star is still found.
     """
     # eigenvalue scatter of an m-fold root grows like eps^(1/m); widen the
     # candidate radius with the degree and rely on the validation below
@@ -197,58 +201,72 @@ def _snap_multiple_roots(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     scale = np.abs(coeffs).max()
     deg = len(coeffs) - 1
     out = roots.astype(complex)
-    for members in _clusters(roots, radius):
-        m = len(members)
-        if m < 2:
-            continue
-        center = np.mean(roots[members])
-        dm = coeffs
-        for _ in range(m - 1):
-            dm = np.polyder(dm)
-        dm1 = np.polyder(dm)
-        c = center
-        for _ in range(32):
-            val, slope = np.polyval(dm, c), np.polyval(dm1, c)
-            if abs(slope) == 0.0:
-                break
-            step = val / slope
-            c = c - step
-            if abs(step) <= 1e-15 * max(1.0, abs(c)):
-                break
-        good = True
-        dj = coeffs
-        for j in range(m):
-            # true m-fold roots evaluate to ~1e-15 * scale here; distinct roots
-            # separated by d contribute ~d^2, so this resolves d down to ~1e-6
-            bound = 5e-13 * scale * max(1.0, abs(c)) ** (deg - j) * math.perm(deg, j)
-            if abs(np.polyval(dj, c)) > bound:
-                good = False
-                break
-            dj = np.polyder(dj)
-        if good:
-            out[members] = c
+    pending = [(np.arange(len(roots)), radius, 6)]
+    while pending:
+        indices, radius, splits = pending.pop()
+        for members in _clusters(roots[indices], radius):
+            members = indices[members]
+            if len(members) < 2:
+                continue
+            c = _multiple_root(coeffs, roots[members], scale, deg)
+            if c is not None:
+                out[members] = c
+            elif splits:
+                pending.append((members, radius / 10, splits - 1))
     return out
+
+
+def _multiple_root(coeffs: np.ndarray, cluster: np.ndarray, scale: float, deg: int):
+    """The m-fold root that the m cluster points scatter from, or None."""
+    m = len(cluster)
+    dm = coeffs
+    for _ in range(m - 1):
+        dm = np.polyder(dm)
+    dm1 = np.polyder(dm)
+    c = np.mean(cluster)
+    for _ in range(32):
+        val, slope = np.polyval(dm, c), np.polyval(dm1, c)
+        if abs(slope) == 0.0:
+            break
+        step = val / slope
+        c = c - step
+        if abs(step) <= 1e-15 * max(1.0, abs(c)):
+            break
+    dj = coeffs
+    for j in range(m):
+        # true m-fold roots evaluate to ~1e-15 * scale here; distinct roots
+        # separated by d contribute ~d^2, so this resolves d down to ~1e-6
+        bound = 5e-13 * scale * max(1.0, abs(c)) ** (deg - j) * math.perm(deg, j)
+        if abs(np.polyval(dj, c)) > bound:
+            return None
+        dj = np.polyder(dj)
+    return c
+
+
+def _stars(coeffs: np.ndarray) -> tuple:
+    """(snapped finite roots, roots at infinity) of a polynomial, highest power first.
+
+    Each leading coefficient within `COEFF_RTOL` of zero, relative to the
+    largest, is a missing degree: one root at infinity.
+    """
+    scale = np.abs(coeffs).max()
+    lead = 0
+    while lead < len(coeffs) and abs(coeffs[lead]) <= COEFF_RTOL * scale:
+        lead += 1
+    trimmed = coeffs[lead:]
+    if len(trimmed) <= 1:
+        return np.array([], dtype=complex), lead
+    roots = _newton_polish(trimmed, np.roots(trimmed).astype(complex))
+    return _snap_multiple_roots(trimmed, roots), lead
 
 
 def to_constellation(sym: SymmetricState) -> Constellation:
     """Roots (with multiplicity) of the Majorana polynomial; deficit roots at inf."""
     coeffs = majorana_coefficients(sym)
-    scale = np.abs(coeffs).max()
-    if scale == 0:
+    if np.abs(coeffs).max() == 0:
         raise ValueError("zero coefficient vector")
-    lead = 0
-    while lead <= sym.num_qubits and abs(coeffs[lead]) <= COEFF_RTOL * scale:
-        lead += 1
-    trimmed = coeffs[lead:]
-    if len(trimmed) <= 1:
-        finite = np.array([], dtype=complex)
-    else:
-        finite = np.roots(trimmed).astype(complex)
-        finite = _newton_polish(trimmed, finite)
-        finite = _snap_multiple_roots(trimmed, finite)
-    finite = np.array(sorted(finite, key=lambda z: (z.real, z.imag)))
-    finite.setflags(write=False)
-    return Constellation(finite_stars=finite, inf_count=lead)
+    finite, inf_count = _stars(coeffs)
+    return Constellation(finite_stars=finite, inf_count=inf_count)
 
 
 def from_constellation(stars, num_qubits: int | None = None) -> SymmetricState:
@@ -268,7 +286,7 @@ def from_constellation(stars, num_qubits: int | None = None) -> SymmetricState:
     poly = np.poly(np.array(finite)) if finite else np.array([1.0 + 0j])
     coeffs = np.zeros(K + 1, dtype=complex)
     coeffs[inf_count:] = poly
-    d = np.array([(-1) ** k * coeffs[k] / math.sqrt(comb(K, k)) for k in range(K + 1)])
+    d = coeffs / _majorana_weights(K)
     d /= np.linalg.norm(d)
     scale = np.abs(d).max()
     for val in d:
@@ -282,11 +300,8 @@ def from_constellation(stars, num_qubits: int | None = None) -> SymmetricState:
 def apply_mobius(constellation: Constellation, m: MobiusMap) -> Constellation:
     """Apply z -> (az+b)/(cz+d) to every star, handling infinity projectively."""
     out = [m(z) for z in constellation.all_stars()]
-    finite = np.array(sorted((z for z in out if not is_inf(z)),
-                             key=lambda z: (z.real, z.imag)), dtype=complex)
-    finite.setflags(write=False)
-    return Constellation(finite_stars=finite,
-                         inf_count=sum(1 for z in out if is_inf(z)))
+    finite = [z for z in out if not is_inf(z)]
+    return Constellation(finite_stars=finite, inf_count=len(out) - len(finite))
 
 
 def degeneracy_type(constellation: Constellation, tol: float = DEGENERACY_TOL) -> tuple:
@@ -418,9 +433,7 @@ def form_polynomial_coeffs(a, degree: int) -> np.ndarray:
 
 def form_from_sym(sym: SymmetricState) -> np.ndarray:
     """Binomial-convention form coefficients of a symmetric state, a_k = (-1)^k d_k / sqrt(C(K,k))."""
-    K = sym.num_qubits
-    return np.array([(-1) ** k * sym.dicke_coeffs[k] / math.sqrt(comb(K, k))
-                     for k in range(K + 1)])
+    return sym.dicke_coeffs / _majorana_weights(sym.num_qubits)
 
 
 def _cubic_discriminant(a) -> complex:
@@ -460,20 +473,12 @@ def _cubic_t_covariant(a, u, v):
 _SYZYGY_SAMPLES = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, 1j), (2, -1))
 
 
-def _floored(delta: complex, a) -> complex:
-    # Delta is homogeneous of degree 2(n-1) in the coefficients, so this floor
-    # is scale-free.  Rounding noise of repeated roots stays below 6e-13 of
-    # max|a_k|^(2(n-1)); random symmetric states give at least 3.8e-4.
-    n = len(a) - 1
-    floor = DISCRIMINANT_FLOOR * np.abs(a).max() ** (2 * (n - 1))
-    return 0j if abs(delta) <= floor else complex(delta)
-
-
 def form_invariants(coeffs, degree: int) -> FormInvariants:
     """Discriminant and companions of a binary form of degree 2, 3 or 4.
 
-    A discriminant within `DISCRIMINANT_FLOOR` of zero, relative to the
-    coefficients, is returned as exactly 0.
+    The discriminant is exactly 0 when the form's stars repeat, as
+    `to_constellation` finds them: two or more roots at infinity, or equal
+    snapped finite roots.  Otherwise it is the computed value.
     """
     a = np.asarray(coeffs, dtype=complex)
     if degree not in (2, 3, 4):
@@ -481,8 +486,8 @@ def form_invariants(coeffs, degree: int) -> FormInvariants:
     if len(a) != degree + 1:
         raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
     if degree == 2:
-        return FormInvariants(degree=2, discriminant=_floored(a[0] * a[2] - a[1] ** 2, a))
-    if degree == 3:
+        delta, extra = a[0] * a[2] - a[1] ** 2, {}
+    elif degree == 3:
         delta = _cubic_discriminant(a)
         hess = _cubic_hessian_coeffs(a)
         scale = max(np.abs(a).max() ** 6, 1e-300)
@@ -493,14 +498,17 @@ def form_invariants(coeffs, degree: int) -> FormInvariants:
             h = (hess[0] * u ** 2 + hess[1] * u * v + hess[2] * v ** 2)
             resid = max(resid, abs(t ** 2 - (2 ** 4 * 3 ** 6) * delta * q ** 2 + h ** 3)
                         / (scale * max(abs(u), abs(v)) ** 6))
-        return FormInvariants(degree=3, discriminant=_floored(delta, a),
-                              hessian_coeffs=hess, syzygy_residual=resid)
-    i1 = a[0] * a[4] - 4 * a[1] * a[3] + 3 * a[2] ** 2
-    i2 = complex(np.linalg.det(np.array([[a[0], a[1], a[2]],
-                                         [a[1], a[2], a[3]],
-                                         [a[2], a[3], a[4]]], dtype=complex)))
-    return FormInvariants(degree=4, discriminant=_floored(i1 ** 3 - 27 * i2 ** 2, a),
-                          i1=complex(i1), i2=i2)
+        extra = {"hessian_coeffs": hess, "syzygy_residual": resid}
+    else:
+        i1 = a[0] * a[4] - 4 * a[1] * a[3] + 3 * a[2] ** 2
+        i2 = complex(np.linalg.det(np.array([[a[0], a[1], a[2]],
+                                             [a[1], a[2], a[3]],
+                                             [a[2], a[3], a[4]]], dtype=complex)))
+        delta, extra = i1 ** 3 - 27 * i2 ** 2, {"i1": complex(i1), "i2": i2}
+    finite, inf_count = _stars(form_polynomial_coeffs(a, degree))
+    if inf_count > 1 or len(np.unique(finite)) < len(finite):
+        delta = 0
+    return FormInvariants(degree=degree, discriminant=complex(delta), **extra)
 
 
 def transform_form(coeffs, degree: int, g) -> np.ndarray:
@@ -546,9 +554,7 @@ def read_constellation_file(path, expected_count: int | None = None) -> Constell
     total = len(finite) + inf_count
     if expected_count is not None and total != expected_count:
         raise FormatError(f"expected {expected_count} stars, found {total}")
-    arr = np.array(sorted(finite, key=lambda z: (z.real, z.imag)), dtype=complex)
-    arr.setflags(write=False)
-    return Constellation(finite_stars=arr, inf_count=inf_count)
+    return Constellation(finite_stars=finite, inf_count=inf_count)
 
 
 def partition_count(n: int) -> int:

@@ -17,7 +17,6 @@ from .states import (PureState, _matricize, new_state, basis_index, ghz_state, w
                      dicke_state)
 
 KUNIFORM_TOL = 1e-9
-STABILIZER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def apply_pauli_string(p: PauliString, state: PureState) -> PureState:
 
 
 def stabilizer_check(state: PureState, pauli_strings) -> list:
-    """Expectation values <psi|P|psi>; 'stabilized' means value 1 within 1e-10."""
+    """Expectation values <psi|P|psi>, one per Pauli string, in the given order."""
     out = []
     for p in pauli_strings:
         if isinstance(p, str):

@@ -9,6 +9,7 @@ from entkit import cli
 from entkit import codes as cd
 from entkit import states as st
 from entkit import mps as mp
+from entkit import stellar as sl
 from entkit import uniformity as un
 
 
@@ -126,6 +127,17 @@ def test_stellar_rotated_w3_has_zero_discriminant(tmp_path, capsys):
     code, lines, _ = _run(["stellar", "--state", path], capsys)
     assert code == 0
     assert _value(lines, "degeneracy") == "2,1"
+    assert _value(lines, "discriminant_abs") == "0"
+
+
+def test_stellar_double_star_beside_a_close_star_is_w(tmp_path, capsys):
+    z = 0.3 + 0.2j
+    path = str(tmp_path / "w3near.state")
+    st.write_state_file(path, sl.symmetric_to_pure(sl.from_constellation([z, z, z + 5e-4])))
+    code, lines, _ = _run(["stellar", "--state", path], capsys)
+    assert code == 0
+    assert _value(lines, "degeneracy") == "2,1"
+    assert _value(lines, "class") == "W"
     assert _value(lines, "discriminant_abs") == "0"
 
 

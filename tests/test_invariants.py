@@ -484,10 +484,11 @@ def test_closest_product_state_reaches_a_known_optimum(kind, lu_seed):
     assert abs(ov - best) < 1e-12
 
 
-@pytest.mark.parametrize("seed", [27, 140, 159, 244])
+@pytest.mark.parametrize("seed", [27, 140, 159, 244, 1901])
 def test_closest_product_state_reaches_the_fixed_point(seed):
     # on these seeds a polish stopped by a 1e-13 step ends 6e-13 to 1.2e-12 from
-    # the fixed point, because the sweeps converge only linearly
+    # the fixed point, because the sweeps converge only linearly; seed 1901 is
+    # the slow tail of seeds 0-1999, 2816 steps against a median of 20
     T = _rand3(seed).tensor
     vecs, _ = inv._closest_product_state(T)
     ref, _ = _reference_closest_product_state(T)

@@ -340,6 +340,35 @@ def test_dmrg_larger_bond_never_worse():
     assert e4 <= e2 + 1e-12
 
 
+def _free_fermion_entropies(K, g):
+    """Exact S(l), l = 1..K-1, of the open chain -sum ZZ - g sum X, in nats.
+
+    Jordan-Wigner makes the chain 2K Majoranas with alternating couplings g
+    (on site) and 1 (bond).  The ground-state covariance is sign(i h); if
+    +-nu are the eigenvalues of its first 2l rows and columns, then
+    S(l) = sum over nu > 0 of H2((1 + nu) / 2) (Vidal, Latorre, Rico and
+    Kitaev, PRL 90, 227902 (2003); Peschel, J. Phys. A 36, L205 (2003)).
+    """
+    h = np.diag(np.resize([g, 1.0], 2 * K - 1), k=1)
+    w, v = np.linalg.eigh(1j * (h - h.T))
+    cov = (v * np.sign(w)) @ v.conj().T
+    out = []
+    for l in range(1, K):
+        nu = np.linalg.eigvalsh(cov[:2 * l, :2 * l])
+        p = np.clip((1 + nu[nu > 0]) / 2, 1e-300, 1.0)
+        q = np.clip(1 - p, 1e-300, 1.0)
+        out.append(-(p * np.log(p) + q * np.log(q)).sum())
+    return np.array(out)
+
+
+def test_free_fermion_entropies_match_dense_ground_states():
+    for K, g in [(8, 0.5), (8, 1.5), (10, 1.0)]:
+        ham = mp.dense_hamiltonian(mp.ising_hamiltonian(K, g))
+        m = mp.from_dense(st.new_state((2,) * K, np.linalg.eigh(ham.real)[1][:, 0]))
+        dense = [mp.entanglement_entropy(m, b) for b in range(K - 1)]
+        assert np.abs(dense - _free_fermion_entropies(K, g)).max() < 1e-12
+
+
 def test_dmrg_long_chain_matches_free_fermions():
     # open chain -sum ZZ - g sum X: E0 = -(sum of the singular values of the
     # K x K single-particle matrix g*1 + superdiagonal 1)
@@ -349,6 +378,9 @@ def test_dmrg_long_chain_matches_free_fermions():
     res = mp.dmrg_ground_state(mp.ising_hamiltonian(K, g), 8, seed=1)
     assert res.converged
     assert abs(res.energy - exact) < 1e-8
+    # gapped phase: every bond entropy, not only the energy
+    entropies = [mp.entanglement_entropy(res.mps, b) for b in range(K - 1)]
+    assert np.abs(entropies - _free_fermion_entropies(K, g)).max() < 1e-6
 
 
 def _dense_local_solve(L, w, R):

@@ -162,6 +162,37 @@ def test_close_but_distinct_stars_not_merged():
         assert sl.degeneracy_type(con) == (1, 1, 1, 1)
 
 
+def test_close_stars_degeneracy_and_discriminant_agree():
+    # one rule decides coincidence: the snapped roots set both report lines
+    z = 0.3 + 0.2j
+    for sep in (1e-4, 3e-5, 1e-5, 6e-6, 3e-6, 2e-6, 1.5e-6, 1e-6, 7e-7, 5e-7, 3e-7):
+        sym = sl.from_constellation([z, z + sep, -1j])
+        dtype = sl.degeneracy_type(sl.to_constellation(sym))
+        delta = sl.form_invariants(sl.form_from_sym(sym), 3).discriminant
+        assert (dtype == (1, 1, 1)) == (delta != 0)
+        assert dtype == ((2, 1) if sep <= 1e-6 else (1, 1, 1))
+
+
+@pytest.mark.parametrize("off", [1e-3, 5e-4, 1e-4, 3e-5])
+def test_multiple_star_beside_a_close_star_is_found(off):
+    # the close star joins the multiple star's candidate cluster, which then
+    # fails validation as a whole and must be split to find the multiple star
+    z = 0.3 + 0.2j
+    rng = np.random.default_rng(41)
+    cases = [([z, z, z + off], (2, 1), "W"), ([z, z, z + off, -1j], (2, 1, 1), "Degenerate")]
+    if off >= 5e-4:
+        cases.append(([z, z, z, z + off], (3, 1), "Degenerate"))
+    for stars, dtype, label in cases:
+        K = len(stars)
+        sym = sl.from_constellation(stars)
+        u = st.haar_unitary(2, rng)
+        rotated = sl.symmetric_from_pure(st.apply_local(sl.symmetric_to_pure(sym), [u] * K))
+        for s in (sym, rotated):
+            cls = sl.classify_sym(s)
+            assert (cls.degeneracy, cls.label) == (dtype, label)
+            assert sl.form_invariants(sl.form_from_sym(s), K).discriminant == 0
+
+
 def test_degeneracy_type_invariant_under_mobius():
     rng = np.random.default_rng(10)
     base = [0.3 + 0.1j, 0.3 + 0.1j, -1.2j, 2.0 + 0j, 2.0 + 0j, 2.0 + 0j]
