@@ -170,9 +170,9 @@ def _cmd_stellar(args, state, report) -> None:
         report.add(f"star {k}", f"{z.real:.12g} {z.imag:.12g}")
     for k in range(con.inf_count):
         report.add(f"star {len(con.finite_stars) + k + 1}", "inf")
-    report.add("degeneracy", ",".join(str(m) for m in stell.degeneracy_type(con, args.tol)))
+    report.add("degeneracy", ",".join(str(m) for m in stell.degeneracy_type(con)))
     if sym.num_qubits in (3, 4):
-        cls = stell.classify_sym(sym, args.tol)
+        cls = stell.classify_sym(sym)
         report.add("class", cls.label)
         if cls.cross_ratio is not None:
             report.add("cross_ratio_re", cls.cross_ratio.real)
@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command(sub, "analyze", _cmd_analyze, inv.DET3_CLASS_TOL, three_qubits=True)
     command(sub, "classify", _cmd_classify, inv.DET3_CLASS_TOL, three_qubits=True)
     command(sub, "polytope", _cmd_polytope, poly.SLACK_TOL)
-    command(sub, "stellar", _cmd_stellar, stell.DEGENERACY_TOL)
+    command(sub, "stellar", _cmd_stellar)
     p = command(sub, "uniformity", _cmd_uniformity, uni.KUNIFORM_TOL)
     p.add_argument("--max-k", type=_count, default=sys.maxsize,
                    help="largest subset size to report (default K//2)")

@@ -29,6 +29,7 @@ RANK_RTOL = 1e-12          # relative singular-value cutoff for exact ranks
 KRYLOV_DIM = 24            # Lanczos basis size per restart cycle
 LANCZOS_RTOL = 1e-13       # residual target, relative to max(1, |eigenvalue|)
 LANCZOS_MAX_CYCLES = 100   # restart cycles before the best Ritz pair is returned
+DMRG_MAX_SWEEPS = 60       # sweeps before dmrg_ground_state stops unconverged
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,8 +579,7 @@ class GroundStateResult:
     num_sweeps: int
 
 
-def dmrg_ground_state(ham: NnHamiltonian, max_bond: int,
-                      max_sweeps: int = 60, tol: float = 1e-10,
+def dmrg_ground_state(ham: NnHamiltonian, max_bond: int, tol: float = 1e-10,
                       seed=0) -> GroundStateResult:
     """Single-site DMRG minimizing the Rayleigh quotient over bond-D MPS.
 
@@ -588,7 +588,7 @@ def dmrg_ground_state(ham: NnHamiltonian, max_bond: int,
     Lanczos on the L.W.R product warm-started from the current site tensor,
     so a sweep costs time linear in the chain length.  The recorded
     per-sweep energy can only decrease.  Returns the best state found, with
-    converged=False if the energy gain never dropped below tol.
+    converged=False if no sweep in DMRG_MAX_SWEEPS gained less than tol.
     """
     K, n = ham.num_sites, ham.local_dim
     if max_bond < 1:
@@ -623,7 +623,7 @@ def dmrg_ground_state(ham: NnHamiltonian, max_bond: int,
     prev_energy = None
     converged = False
     sweeps_done = 0
-    for sweep in range(max_sweeps):
+    for sweep in range(DMRG_MAX_SWEEPS):
         energy = None
         for k in range(K - 1):     # left to right
             energy, t = solve_site(k)

@@ -276,19 +276,17 @@ def partial_trace(state: PureState, kept_sites) -> DensityMatrix:
     return DensityMatrix(dim=rho.shape[0], entries=rho)
 
 
-def validate_density_matrix(dm: DensityMatrix,
-                            herm_tol: float = HERMITICITY_TOL,
-                            trace_tol: float = HERMITICITY_TOL,
-                            eig_floor: float = EIGENVALUE_FLOOR) -> None:
+def validate_density_matrix(dm: DensityMatrix) -> None:
     """Raise ValueError unless dm is Hermitian, unit trace and PSD within tolerance."""
     rho = dm.entries
     if rho.shape != (dm.dim, dm.dim):
         raise ValueError("entries shape does not match dim")
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
+    if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > HERMITICITY_TOL or abs(trace.imag) > HERMITICITY_TOL:
         raise ValueError("trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < eig_floor:
+    if np.linalg.eigvalsh(rho).min() < EIGENVALUE_FLOOR:
         raise ValueError("matrix has a negative eigenvalue")
 
 

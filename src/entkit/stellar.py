@@ -28,7 +28,8 @@ from .states import FormatError, PureState, _float, _hamming_weights, _records, 
 
 INF = complex(math.inf, 0.0)
 
-DEGENERACY_TOL = 1e-7      # chordal-distance clustering threshold
+DEGENERACY_TOL = 1e-7      # chordal distance at which stars coincide, infinity included
+SYMMETRY_TOL = 1e-10       # largest amplitude spread within one Hamming weight
 COEFF_RTOL = 1e-12         # relative cutoff for treating a leading coefficient as zero
 
 
@@ -116,7 +117,7 @@ def mobius_from_local_operator(u) -> MobiusMap:
 mobius_from_unitary = mobius_from_local_operator
 
 
-def symmetric_from_pure(state: PureState, tol: float = 1e-10) -> SymmetricState:
+def symmetric_from_pure(state: PureState) -> SymmetricState:
     """Extract Dicke coefficients; raises if the state is not permutation symmetric."""
     if any(d != 2 for d in state.dims):
         raise ValueError("symmetric representation needs qubit subsystems")
@@ -129,7 +130,7 @@ def symmetric_from_pure(state: PureState, tol: float = 1e-10) -> SymmetricState:
         mean = vals.mean()
         residual = max(residual, float(np.abs(vals - mean).max()))
         coeffs[k] = mean * math.sqrt(comb(K, k))
-    if residual > tol:
+    if residual > SYMMETRY_TOL:
         raise ValueError(f"state is not permutation symmetric (residual {residual:.2e})")
     coeffs /= np.linalg.norm(coeffs)
     coeffs.setflags(write=False)
@@ -269,7 +270,7 @@ def to_constellation(sym: SymmetricState) -> Constellation:
     return Constellation(finite_stars=finite, inf_count=inf_count)
 
 
-def from_constellation(stars, num_qubits: int | None = None) -> SymmetricState:
+def from_constellation(stars) -> SymmetricState:
     """Symmetric state whose Majorana roots are the given stars.
 
     The global phase is fixed by making the first nonzero Dicke coefficient
@@ -277,10 +278,8 @@ def from_constellation(stars, num_qubits: int | None = None) -> SymmetricState:
     """
     stars = [complex(z) for z in stars]
     finite = [z for z in stars if not is_inf(z)]
-    inf_count = len(stars) - len(finite)
-    K = num_qubits if num_qubits is not None else len(finite) + inf_count
-    if len(finite) + inf_count != K:
-        raise ValueError("star count must equal the number of qubits")
+    K = len(stars)
+    inf_count = K - len(finite)
     if K < 1:
         raise ValueError("need at least one star")
     poly = np.poly(np.array(finite)) if finite else np.array([1.0 + 0j])
@@ -304,9 +303,9 @@ def apply_mobius(constellation: Constellation, m: MobiusMap) -> Constellation:
     return Constellation(finite_stars=finite, inf_count=len(out) - len(finite))
 
 
-def degeneracy_type(constellation: Constellation, tol: float = DEGENERACY_TOL) -> tuple:
+def degeneracy_type(constellation: Constellation) -> tuple:
     """Partition of K recording star-coincidence multiplicities, descending."""
-    sizes = (len(members) for members in _clusters(constellation.all_stars(), tol))
+    sizes = (len(c) for c in _clusters(constellation.all_stars(), DEGENERACY_TOL))
     return tuple(sorted(sizes, reverse=True))
 
 
@@ -362,13 +361,13 @@ class SymClassification:
     concyclic: bool = False
 
 
-def classify_sym(sym: SymmetricState, tol: float = DEGENERACY_TOL) -> SymClassification:
+def classify_sym(sym: SymmetricState) -> SymClassification:
     """SLOCC classification of a symmetric state of 3 or 4 qubits."""
     K = sym.num_qubits
     if K not in (3, 4):
         raise ValueError("classification is implemented for 3 or 4 qubits")
     con = to_constellation(sym)
-    dtype = degeneracy_type(con, tol)
+    dtype = degeneracy_type(con)
     if K == 3:
         label = {(3,): "Separable", (2, 1): "W", (1, 1, 1): "GHZ"}[dtype]
         return SymClassification(num_qubits=3, degeneracy=dtype, label=label)
@@ -476,9 +475,9 @@ _SYZYGY_SAMPLES = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, 1j), (2,
 def form_invariants(coeffs, degree: int) -> FormInvariants:
     """Discriminant and companions of a binary form of degree 2, 3 or 4.
 
-    The discriminant is exactly 0 when the form's stars repeat, as
-    `to_constellation` finds them: two or more roots at infinity, or equal
-    snapped finite roots.  Otherwise it is the computed value.
+    The discriminant is exactly 0 when the form's stars, as
+    `to_constellation` finds them, coincide by `degeneracy_type`.
+    Otherwise it is the computed value.
     """
     a = np.asarray(coeffs, dtype=complex)
     if degree not in (2, 3, 4):
@@ -505,8 +504,7 @@ def form_invariants(coeffs, degree: int) -> FormInvariants:
                                              [a[1], a[2], a[3]],
                                              [a[2], a[3], a[4]]], dtype=complex)))
         delta, extra = i1 ** 3 - 27 * i2 ** 2, {"i1": complex(i1), "i2": i2}
-    finite, inf_count = _stars(form_polynomial_coeffs(a, degree))
-    if inf_count > 1 or len(np.unique(finite)) < len(finite):
+    if degeneracy_type(Constellation(*_stars(form_polynomial_coeffs(a, degree))))[0] > 1:
         delta = 0
     return FormInvariants(degree=degree, discriminant=complex(delta), **extra)
 

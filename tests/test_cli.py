@@ -141,6 +141,14 @@ def test_stellar_double_star_beside_a_close_star_is_w(tmp_path, capsys):
     assert _value(lines, "discriminant_abs") == "0"
 
 
+def test_dmrg_at_zero_tolerance_stops_at_the_sweep_cap(capsys):
+    code, lines, _ = _run([*DMRG, "--g", "1", "--tol", "0"], capsys)
+    assert code == 0
+    assert _value(lines, "sweeps") == "60"
+    assert _value(lines, "converged") == "false"
+    assert "sweep_energy 60" in lines and "sweep_energy 61" not in lines
+
+
 def test_codes_demo_hamming(capsys):
     code, lines, _ = _run(["codes", "demo", "--hamming"], capsys)
     assert code == 0
@@ -342,6 +350,7 @@ def test_mps_dmrg_bad_sizes_are_one_line_errors(capsys, flags, message):
     (["codes", "demo", "--code", "{ghz}", "--repetition"],
      "argument --repetition: not allowed with argument --code"),
     (["codes", "demo", "--code", ""], "[Errno 2] No such file or directory: ''"),
+    (["stellar", "--state", "{ghz}", "--tol", "1e-3"], "unrecognized arguments: --tol 1e-3"),
 ])
 def test_refusals_are_one_line_errors(tmp_path, capsys, argv, message):
     ghz = _write(tmp_path, "ghz.state", GHZ3)

@@ -316,6 +316,14 @@ def test_dmrg_ising_zero_field():
     assert res.converged
 
 
+def test_dmrg_stops_unconverged_at_the_sweep_cap():
+    # no energy gain is below tol = 0, so every run ends at the cap
+    res = mp.dmrg_ground_state(mp.ising_hamiltonian(4, 1.0), 2, tol=0.0, seed=1)
+    assert not res.converged
+    assert res.num_sweeps == mp.DMRG_MAX_SWEEPS == 60
+    assert len(res.rayleigh_history) == 60
+
+
 def test_dmrg_matches_exact_diagonalization():
     for g in (0.5, 1.0):
         ham = mp.ising_hamiltonian(8, g)

@@ -134,6 +134,24 @@ def test_partial_trace_output_valid_density_matrix():
             st.validate_density_matrix(st.partial_trace(s, keep))
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([[0.5, 1e-13], [0.0, 0.5]], None),
+    ([[0.5, 1e-11], [0.0, 0.5]], "matrix is not Hermitian"),
+    ([[0.5, 0.0], [0.0, 0.5 + 1e-13]], None),
+    ([[0.5, 0.0], [0.0, 0.5 + 1e-11]], "trace is not 1"),
+    ([[1.0 + 1e-11, 0.0], [0.0, -1e-11]], None),
+    ([[1.0 + 1e-9, 0.0], [0.0, -1e-9]], "matrix has a negative eigenvalue"),
+])
+def test_validate_density_matrix_bounds(entries, message):
+    # Hermiticity and trace hold to 1e-12, eigenvalues down to -1e-10
+    dm = st.DensityMatrix(dim=2, entries=np.array(entries, dtype=complex))
+    if message is None:
+        st.validate_density_matrix(dm)
+    else:
+        with pytest.raises(ValueError, match=message):
+            st.validate_density_matrix(dm)
+
+
 def test_schmidt_bell():
     dec = st.schmidt(st.new_state((2, 2), BELL_PHI_PLUS),
                      st.Bipartition.of([0], 2))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from entkit import states as st
@@ -171,6 +171,41 @@ def test_close_stars_degeneracy_and_discriminant_agree():
         delta = sl.form_invariants(sl.form_from_sym(sym), 3).discriminant
         assert (dtype == (1, 1, 1)) == (delta != 0)
         assert dtype == ((2, 1) if sep <= 1e-6 else (1, 1, 1))
+    # Dicke (0, e, 1, 0): stars 0, 1/e and inf, with 1/e about 2e from inf
+    for e in (1e-4, 1e-6, 1e-7, 3e-8, 1e-8, 1e-10, 1e-12, 1e-13):
+        sym = sl.SymmetricState(3, np.array([0, e, 1, 0]) / math.hypot(e, 1))
+        dtype = sl.degeneracy_type(sl.to_constellation(sym))
+        delta = sl.form_invariants(sl.form_from_sym(sym), 3).discriminant
+        assert (dtype == (1, 1, 1)) == (delta != 0)
+        assert dtype == ((2, 1) if e <= 5e-8 else (1, 1, 1))
+
+
+def _haar_rotated(sym, rng):
+    u = st.haar_unitary(2, rng)
+    pure = st.apply_local(sl.symmetric_to_pure(sym), [u] * sym.num_qubits)
+    return sl.symmetric_from_pure(pure)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(family=hs.sampled_from(["random", "repeated", "near infinity"]),
+       K=hs.integers(2, 4), seed=hs.integers(0, 2 ** 32 - 1), u=hs.floats(2, 14))
+@example(family="near infinity", K=3, seed=0, u=10.0)
+def test_degeneracy_is_all_ones_exactly_when_discriminant_is_not_zero(family, K, seed, u):
+    rng = np.random.default_rng(seed)
+    pool = list(rng.standard_normal(K) + 1j * rng.standard_normal(K))
+    if family == "random":
+        sym = _random_sym(K, rng)
+    elif family == "repeated":
+        stars = [pool[i] for i in rng.integers(0, K, K)]
+        sym = _haar_rotated(sl.from_constellation(stars), rng)
+    else:
+        # a star at 10^u is about 2 10^-u from infinity on the sphere, so it
+        # coincides with the star there from u = 7.3; past u = 12 its leading
+        # coefficient is below COEFF_RTOL and it is at infinity itself
+        sym = sl.from_constellation([sl.INF, 10.0 ** u, *pool[:K - 2]])
+    dtype = sl.degeneracy_type(sl.to_constellation(sym))
+    delta = sl.form_invariants(sl.form_from_sym(sym), K).discriminant
+    assert (dtype == (1,) * K) == (delta != 0)
 
 
 @pytest.mark.parametrize("off", [1e-3, 5e-4, 1e-4, 3e-5])
@@ -475,6 +510,23 @@ def test_constellation_file_round_trip(tmp_path):
 def test_symmetric_from_pure_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         sl.symmetric_from_pure(st.new_state((2, 2), [0, 1, 0, 0]))
+    with pytest.raises(ValueError, match=r"not permutation symmetric \(residual 6.67e-01\)"):
+        sl.symmetric_from_pure(st.basis_state((2,) * 3, "001"))
+
+
+def test_symmetric_from_pure_bound():
+    # amplitudes of one Hamming weight may spread by 1e-10 at most
+    amps = st.w_state(3).amps.copy()
+    amps[1] += 1e-11
+    sl.symmetric_from_pure(st.new_state((2,) * 3, amps))
+    amps[1] += 1e-9
+    with pytest.raises(ValueError, match="not permutation symmetric"):
+        sl.symmetric_from_pure(st.new_state((2,) * 3, amps))
+
+
+def test_from_constellation_needs_a_star():
+    with pytest.raises(ValueError, match="need at least one star"):
+        sl.from_constellation([])
 
 
 def test_constellation_file_errors_carry_line_numbers(tmp_path):
