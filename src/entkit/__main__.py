@@ -1,0 +1,6 @@
+"""Command-line front end as ``python -m entkit``."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -162,12 +162,6 @@ def tangle_pure2(state: PureState) -> float:
     return float(4.0 * abs(np.linalg.det(state.tensor)) ** 2)
 
 
-def tangle_pure2_spinflip(state: PureState) -> float:
-    """Same tangle through |<psi| sigma_y x sigma_y |psi*>|^2."""
-    _require_qubits(state, 2)
-    return float(abs(np.vdot(state.amps, _YY @ state.amps.conj())) ** 2)
-
-
 def one_vs_rest_tangle(state: PureState, site: int) -> float:
     """Tangle across site|rest for a qubit site: 4 det rho_site."""
     rho = partial_trace(state, (site,))

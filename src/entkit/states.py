@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, product
 
 import numpy as np
 
@@ -25,6 +24,7 @@ EIGENVALUE_FLOOR = -1e-10
 UNITARITY_TOL = 1e-10
 RANK_RTOL = 1e-10  # a Schmidt coefficient counts toward the rank above RANK_RTOL * max
 DENSE_GUARD = 2 ** 24  # refuse dense states beyond this many amplitudes
+_WRITE_BLOCK = 4096  # lines per write_state_file block
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,11 +449,30 @@ def read_state_file(path) -> PureState:
 
 
 def write_state_file(path, state: PureState, threshold: float = 0.0) -> None:
-    """Write a state in the text format; amplitudes with |a| <= threshold are omitted."""
+    """Write a state in the text format; amplitudes with |a| <= threshold are omitted.
+
+    Raises ValueError, and leaves ``path`` untouched, when no amplitude is kept.
+    """
     dims = state.dims
-    sep = "," if max(dims) > 10 else ""
+    keep = np.flatnonzero(np.abs(state.amps) > threshold)
+    if keep.size == 0:
+        raise ValueError(f"threshold {threshold} keeps no amplitude; "
+                         "the file would hold a zero vector")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("dims " + " ".join(str(d) for d in dims) + "\n")
-        labelled = zip(product(*map(range, dims)), state.amps)
-        for digits, a in compress(labelled, np.abs(state.amps) > threshold):
-            fh.write(f"{sep.join(map(str, digits))} {float(a.real)!r} {float(a.imag)!r}\n")
+        # fixed blocks of lines bound the memory that the temporary strings take
+        for start in range(0, keep.size, _WRITE_BLOCK):
+            idx = keep[start:start + _WRITE_BLOCK]
+            digits = np.unravel_index(idx, dims)
+            if max(dims) > 10:
+                labels = [",".join(map(str, row)) for row in np.column_stack(digits).tolist()]
+            else:  # one ASCII byte per digit, each row read as one K-byte string
+                chars = np.empty((idx.size, len(dims)), dtype=np.uint8)
+                for k, column in enumerate(digits):
+                    chars[:, k] = column + ord("0")
+                labels = chars.view(f"S{len(dims)}").ravel().astype(str).tolist()
+            block = state.amps[idx]
+            # repr of a float list is repr(float) per value, joined by ", "
+            re_s = repr(block.real.tolist())[1:-1].split(", ")
+            im_s = repr(block.imag.tolist())[1:-1].split(", ")
+            fh.write("".join(map("{} {} {}\n".format, labels, re_s, im_s)))

@@ -113,10 +113,6 @@ def mobius_from_local_operator(u) -> MobiusMap:
     return MobiusMap(a=u[1, 1], b=u[1, 0], c=u[0, 1], d=u[0, 0])
 
 
-# a unitary operator acts as a pure rotation
-mobius_from_unitary = mobius_from_local_operator
-
-
 def symmetric_from_pure(state: PureState) -> SymmetricState:
     """Extract Dicke coefficients; raises if the state is not permutation symmetric."""
     if any(d != 2 for d in state.dims):

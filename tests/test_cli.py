@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -483,3 +486,13 @@ def test_cli_exit_codes_and_error_lines(tmp_path, capsys, command, text, data):
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     else:
         assert captured.err == ""
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_checkout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "entkit", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: entkit ")

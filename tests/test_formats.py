@@ -5,6 +5,8 @@ either returns a value or raises ``FormatError`` (the code reader also
 raises ``CodeError`` for rows that parse but are linearly dependent).
 """
 
+from itertools import compress, product
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -55,6 +57,45 @@ def test_state_file_round_trip_property(tmp_path, dims, seed, threshold):
     kept = np.where(np.abs(s.amps) > threshold, s.amps, 0)
     assert back.dims == s.dims
     assert np.abs(back.amps - kept / np.linalg.norm(kept)).max() < 1e-14
+
+
+def _reference_write_state_file(path, state, threshold=0.0):
+    """The per-amplitude writer that the block writer replaced; the byte reference."""
+    dims = state.dims
+    sep = "," if max(dims) > 10 else ""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("dims " + " ".join(str(d) for d in dims) + "\n")
+        labelled = zip(product(*map(range, dims)), state.amps)
+        for digits, a in compress(labelled, np.abs(state.amps) > threshold):
+            fh.write(f"{sep.join(map(str, digits))} {float(a.real)!r} {float(a.imag)!r}\n")
+
+
+def _assert_same_bytes_as_reference(tmp_path, state, threshold):
+    ours, ref = tmp_path / "ours.state", tmp_path / "ref.state"
+    st.write_state_file(ours, state, threshold)
+    _reference_write_state_file(ref, state, threshold)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+@PROPERTY
+@given(dims=hs.lists(hs.integers(2, 12), min_size=1, max_size=5).filter(
+           lambda dims: int(np.prod(dims)) <= 3000),
+       seed=hs.integers(0, 2 ** 32 - 1), threshold=hs.sampled_from([0.0, 0.01, 0.1]))
+def test_state_file_writer_matches_reference_bytes_property(tmp_path, dims, seed, threshold):
+    rng = np.random.default_rng(seed)
+    amps = np.array(st.random_state(dims, seed).amps)
+    amps[rng.random(amps.size) < 0.3] = 0.0
+    amps.real[rng.random(amps.size) < 0.1] = -0.0
+    amps.imag[rng.random(amps.size) < 0.1] = -0.0
+    state = st.PureState(tuple(dims), amps)
+    assume(np.abs(amps).max() > threshold)
+    _assert_same_bytes_as_reference(tmp_path, state, threshold)
+
+
+@pytest.mark.parametrize("state", [st.random_state((2,) * 14, 7), st.dicke_state(16, 8)],
+                         ids=["dense-2^14", "dicke-16-8"])
+def test_state_file_writer_matches_reference_bytes_over_many_blocks(tmp_path, state):
+    _assert_same_bytes_as_reference(tmp_path, state, 0.0)
 
 
 @PROPERTY

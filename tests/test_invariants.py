@@ -188,10 +188,16 @@ def test_tangle_pure2_values():
     assert inv.tangle_pure2(s) == pytest.approx(0.5, abs=1e-12)
 
 
+def _tangle_pure2_spinflip(state):
+    """Two-qubit tangle through |<psi| sigma_y x sigma_y |psi*>|^2, the cross-check form."""
+    yy = np.kron(inv.SIGMA_Y, inv.SIGMA_Y)
+    return float(abs(np.vdot(state.amps, yy @ state.amps.conj())) ** 2)
+
+
 def test_tangle_pure2_matches_spin_flip_form():
     for seed in range(100):
         s = st.random_state((2, 2), seed)
-        assert abs(inv.tangle_pure2(s) - inv.tangle_pure2_spinflip(s)) < 1e-10
+        assert abs(inv.tangle_pure2(s) - _tangle_pure2_spinflip(s)) < 1e-10
 
 
 def test_tangle_report_ghz():

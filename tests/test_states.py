@@ -347,6 +347,14 @@ def test_state_file_round_trip(tmp_path):
     assert np.abs(back.amps - s.amps).max() < 1e-15
 
 
+def test_state_file_writer_refuses_threshold_that_keeps_nothing(tmp_path):
+    path = tmp_path / "kept.state"
+    path.write_text("dims 2\n1 1 0\n")
+    with pytest.raises(ValueError, match="threshold 2.0 keeps no amplitude"):
+        st.write_state_file(path, st.random_state((2, 2, 2), 1), threshold=2.0)
+    assert path.read_text() == "dims 2\n1 1 0\n"
+
+
 @pytest.mark.parametrize("dims", [(11, 2), (12, 3)])
 def test_state_file_round_trip_large_local_dims(tmp_path, dims):
     s = st.random_state(dims, 3)

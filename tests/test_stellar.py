@@ -124,7 +124,7 @@ def test_rotation_preserves_chordal_distances():
     rng = np.random.default_rng(7)
     stars = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     u = st.haar_unitary(2, rng)
-    m = sl.mobius_from_unitary(u)
+    m = sl.mobius_from_local_operator(u)
     out = sl.apply_mobius(sl.Constellation(finite_stars=np.array(stars), inf_count=0), m)
     before = [sl.chordal_distance(a, b) for a in stars for b in stars]
     after = [sl.chordal_distance(a, b) for a in out.all_stars() for b in out.all_stars()]
@@ -463,7 +463,7 @@ def test_rotation_equivariance():
         rotated = st.apply_local(sl.symmetric_to_pure(sym), [u] * 5, mode="unitary")
         via_state = sl.to_constellation(sl.symmetric_from_pure(rotated))
         via_sphere = sl.apply_mobius(sl.to_constellation(sym),
-                                     sl.mobius_from_unitary(u))
+                                     sl.mobius_from_local_operator(u))
         assert _match_distance(via_state, via_sphere) < 1e-8
 
 
