@@ -111,7 +111,6 @@ from .mps import (
     heisenberg_hamiltonian,
     dense_hamiltonian,
     dmrg_ground_state,
-    scaling_experiment,
 )
 
 __version__ = "0.1.0"

@@ -151,16 +151,16 @@ def _cmd_polytope(args, state, report) -> None:
         report.flag_warning()
     if state.num_sites == 3:
         report.add("w_pyramid", poly.w_pyramid_test(spectra, args.tol))
-    report.add("vertex_count", len(poly.polytope_vertices(state.num_sites))
-               if 3 <= state.num_sites <= 8 else 0)
+    # every 0/(1/2) corner of weight != 1 is a vertex: polytope_vertices' row count
+    report.add("vertex_count", 2 ** state.num_sites - state.num_sites)
 
 
 def _cmd_uniformity(args, state, report) -> None:
-    for k in range(1, min(args.max_k, state.num_sites // 2) + 1):
-        report.add(f"Q{k}", uni.q_measure(state, k))
-    level = uni.k_uniform_level(state, args.tol)
-    report.add("k_uniform", level)
-    report.add("is_ame", state.num_sites >= 2 and level == state.num_sites // 2)
+    rep = uni.uniformity_report(state, args.tol, args.max_k)
+    for k, q in enumerate(rep.q_values, start=1):
+        report.add(f"Q{k}", q)
+    report.add("k_uniform", rep.k_uniform_level)
+    report.add("is_ame", rep.is_ame)
 
 
 def _cmd_stellar(args, state, report) -> None:
@@ -310,8 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command(sub, "polytope", _cmd_polytope, poly.SLACK_TOL)
     command(sub, "stellar", _cmd_stellar)
     p = command(sub, "uniformity", _cmd_uniformity, uni.KUNIFORM_TOL)
-    p.add_argument("--max-k", type=_count, default=sys.maxsize,
-                   help="largest subset size to report (default K//2)")
+    p.add_argument("--max-k", type=_count,
+                   help="largest Q_k to report (default K//2); k_uniform is not capped")
 
     codes = sub.add_parser("codes").add_subparsers(dest="subcommand", required=True)
     p = command(codes, "demo", _cmd_codes_demo, state=False)

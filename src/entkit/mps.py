@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .states import (DENSE_GUARD, FormatError, PureState, _entropy, _float, _int,
-                     _records, new_state, page_expected_entropy)
+                     _records, new_state)
 
 CANONICAL_TOL = 1e-10
 RANK_RTOL = 1e-12          # relative singular-value cutoff for exact ranks
@@ -650,63 +650,3 @@ def dmrg_ground_state(ham: NnHamiltonian, max_bond: int, tol: float = 1e-10,
                              rayleigh_history=tuple(history),
                              converged=converged, num_sweeps=sweeps_done)
 
-
-@dataclass(frozen=True)
-class ScalingRow:
-    size_x: int
-    mean_entropy: float
-    std_error: float
-    reference: float       # Page value (random branch) or ln D cap (MPS branch)
-    max_entropy: float
-
-
-@dataclass(frozen=True)
-class ScalingTable:
-    mode: str
-    rows: tuple
-
-
-def scaling_experiment(num_sites: int, local_dim: int, bond_or_random,
-                       samples: int, seed=0) -> ScalingTable:
-    """Entropy of leading-|X| reductions: volume law vs bond-capped area law.
-
-    bond_or_random="random" samples dense Fubini-Study states and reports
-    mean entropy against the Page reference per |X| <= K/2.  An integer D
-    samples random bond-D MPS and reports the bond entropies against the
-    ln D cap per cut.
-    """
-    K, n = int(num_sites), int(local_dim)
-    rng = np.random.default_rng(seed)
-    rows = []
-    if bond_or_random == "random":
-        if n ** K > DENSE_GUARD:
-            raise ValueError("dense branch exceeds the size guard")
-        ent = {x: [] for x in range(1, K // 2 + 1)}
-        for _ in range(samples):
-            v = rng.standard_normal(n ** K) + 1j * rng.standard_normal(n ** K)
-            v /= np.linalg.norm(v)
-            for x in ent:
-                m = v.reshape(n ** x, -1)
-                ent[x].append(_entropy(np.linalg.eigvalsh(m @ m.conj().T)))
-        for x, vals in ent.items():
-            vals = np.asarray(vals)
-            rows.append(ScalingRow(
-                size_x=x, mean_entropy=float(vals.mean()),
-                std_error=float(vals.std(ddof=1) / np.sqrt(len(vals))),
-                reference=page_expected_entropy(x, K - x, n),
-                max_entropy=float(vals.max())))
-        return ScalingTable(mode="random", rows=tuple(rows))
-    D = int(bond_or_random)
-    ent = {cut: [] for cut in range(1, K)}
-    for s in range(samples):
-        mps = random_mps(K, n, D, rng.integers(0, 2 ** 63))
-        for cut in ent:
-            ent[cut].append(entanglement_entropy(mps, cut - 1))
-    for cut, vals in ent.items():
-        vals = np.asarray(vals)
-        rows.append(ScalingRow(
-            size_x=cut, mean_entropy=float(vals.mean()),
-            std_error=float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0,
-            reference=float(np.log(D)),
-            max_entropy=float(vals.max())))
-    return ScalingTable(mode="mps", rows=tuple(rows))

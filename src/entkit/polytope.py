@@ -39,6 +39,8 @@ def local_spectra(state: PureState) -> LocalSpectra:
     """Smallest eigenvalue of every single-qubit reduction."""
     if any(d != 2 for d in state.dims):
         raise ValueError("local spectra are defined here for qubit subsystems")
+    if state.num_sites < 2:
+        raise ValueError("local spectra need at least 2 qubits")
     lams = []
     for site in range(state.num_sites):
         rho = partial_trace(state, (site,))

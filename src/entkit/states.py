@@ -24,6 +24,7 @@ EIGENVALUE_FLOOR = -1e-10
 UNITARITY_TOL = 1e-10
 RANK_RTOL = 1e-10  # a Schmidt coefficient counts toward the rank above RANK_RTOL * max
 DENSE_GUARD = 2 ** 24  # refuse dense states beyond this many amplitudes
+WORK_BUDGET = 10 ** 11  # refuse an exponential scan beyond this many multiply-adds
 _WRITE_BLOCK = 4096  # lines per write_state_file block
 
 

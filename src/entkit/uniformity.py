@@ -8,13 +8,14 @@ qubit form is the N = 2 case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .states import (PureState, _matricize, new_state, basis_index, ghz_state, w_state,
-                     dicke_state)
+from .states import (WORK_BUDGET, PureState, _matricize, new_state, basis_index, ghz_state,
+                     w_state, dicke_state)
 
 KUNIFORM_TOL = 1e-9
 
@@ -98,23 +99,12 @@ def stabilizer_check(state: PureState, pauli_strings) -> list:
     return out
 
 
-def _subset_gram(state: PureState, sites) -> np.ndarray:
-    M = _matricize(state, sites)
-    return M @ M.conj().T
-
-
 def q_measure(state: PureState, k: int) -> float:
     """Scott measure Q_k: rescaled average linear entropy of k-site reductions."""
     K = state.num_sites
     if not 1 <= k <= K // 2:
         raise ValueError(f"k must satisfy 1 <= k <= {K // 2}")
-    if len(set(state.dims)) != 1:
-        raise ValueError("Q_k needs equal local dimensions")
-    n = state.dims[0]
-    purities = [float(np.sum(np.abs(_subset_gram(state, sub)) ** 2))
-                for sub in combinations(range(K), k)]
-    nk = float(n) ** k
-    return float(nk / (nk - 1.0) * (1.0 - np.mean(purities)))
+    return uniformity_report(state, max_k=k).q_values[-1]
 
 
 def k_uniform_level(state: PureState, tol: float = KUNIFORM_TOL) -> int:
@@ -124,23 +114,50 @@ def k_uniform_level(state: PureState, tol: float = KUNIFORM_TOL) -> int:
     vanishes within tol, i.e. iff sqrt(d_X) times the matricized amplitude
     tensor is an isometry.
     """
-    K = state.num_sites
-    level = 0
+    return uniformity_report(state, tol, max_k=0).k_uniform_level
+
+
+def uniformity_report(state: PureState, tol: float = KUNIFORM_TOL,
+                      max_k: int | None = None) -> UniformityReport:
+    """Q_1..Q_max_k (max_k defaults to K//2) and the k-uniformity level in one scan.
+
+    Each k-site Gram is formed once: its purity feeds Q_k when k <= max_k, and
+    it gets the isometry test while the level is still k - 1.  A layer above
+    max_k runs only while the level can still grow.  Refuses, before it starts,
+    any layer that takes the scan's multiply-adds past WORK_BUDGET.
+    """
+    K, dims = state.num_sites, state.dims
+    max_k = K // 2 if max_k is None else min(max_k, K // 2)
+    if max_k >= 1 and len(set(dims)) != 1:
+        raise ValueError("Q_k needs equal local dimensions")
+    # layer k costs N * e_k(dims): the x^(K-k) coefficient of prod_i (x + d_i)
+    layer_work = math.prod(dims) * np.poly(np.negative(dims))
+    qs, level = [], 0
     for k in range(1, K // 2 + 1):
+        testing = level == k - 1
+        if k > max_k and not testing:
+            break
+        work = layer_work[1:max(k, max_k) + 1].sum()
+        if work > WORK_BUDGET:
+            raise ValueError(f"the subset scan needs {work:.2g} multiply-adds, over the "
+                             f"budget of {WORK_BUDGET:.0e}; lower --max-k")
+        purities = []
         for sub in combinations(range(K), k):
-            G = _subset_gram(state, sub)
+            M = _matricize(state, sub)
+            G = M @ M.conj().T
+            if k <= max_k:
+                purities.append(float(np.sum(np.abs(G) ** 2)))
             d = G.shape[0]
-            if np.abs(d * G - np.eye(d)).max() > tol:
-                return level
-        level = k
-    return level
-
-
-def uniformity_report(state: PureState, tol: float = KUNIFORM_TOL) -> UniformityReport:
-    K = state.num_sites
-    qs = tuple(q_measure(state, k) for k in range(1, K // 2 + 1))
-    level = k_uniform_level(state, tol)
-    return UniformityReport(q_values=qs, k_uniform_level=level,
+            if testing and np.abs(d * G - np.eye(d)).max() > tol:
+                testing = False
+                if k > max_k:
+                    break
+        if testing:
+            level = k
+        if k <= max_k:
+            nk = float(dims[0]) ** k
+            qs.append(float(nk / (nk - 1.0) * (1.0 - np.mean(purities))))
+    return UniformityReport(q_values=tuple(qs), k_uniform_level=level,
                             is_ame=(K >= 2 and level == K // 2))
 
 

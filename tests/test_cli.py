@@ -12,6 +12,7 @@ from entkit import cli
 from entkit import codes as cd
 from entkit import states as st
 from entkit import mps as mp
+from entkit import polytope as poly
 from entkit import stellar as sl
 from entkit import uniformity as un
 
@@ -105,6 +106,25 @@ def test_polytope_boundary_flag(tmp_path, capsys):
     assert code == 2           # separable corner sits on the boundary
     assert _value(lines, "polygon_pass") == "true"
     assert _value(lines, "w_pyramid") == "true"
+
+
+@pytest.mark.parametrize("K", range(2, 11))
+def test_polytope_vertex_count_for_every_size(tmp_path, capsys, K):
+    path = str(tmp_path / "ghz.state")
+    st.write_state_file(path, st.ghz_state(K))
+    code, lines, _ = _run(["polytope", "--state", path], capsys)
+    assert code == (2 if K == 2 else 0)  # two equal one-site spectra sit on a facet
+    assert _value(lines, "vertex_count") == str(2 ** K - K)
+    if 3 <= K <= 8:
+        assert _value(lines, "vertex_count") == str(len(poly.polytope_vertices(K)))
+
+
+def test_polytope_refuses_one_qubit(tmp_path, capsys):
+    path = _write(tmp_path, "one.state", "dims 2\n0 1 0\n")
+    assert cli.main(["polytope", "--state", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "entkit: error: local spectra need at least 2 qubits\n"
+    assert captured.out == ""
 
 
 def test_classify_threshold_warning(tmp_path, capsys):

@@ -242,11 +242,6 @@ def test_dense_round_trip_keeps_every_amplitude(dims, seed):
     assert np.abs(back.amps - s.amps).max() < 1e-12
 
 
-def test_scaling_experiment_dense_guard():
-    with pytest.raises(ValueError, match="guard"):
-        mp.scaling_experiment(30, 2, "random", 1, seed=0)
-
-
 def test_overlap_memory_contract():
     # K = 24 qubits: the dense amplitudes alone would take 256 MiB; only the
     # environment and one site-sized temporary may ever be alive
@@ -443,20 +438,13 @@ def test_nn_hamiltonian_validation():
                          bond_ops=(np.eye(4), np.ones((4, 4)) * 1j))
 
 
-def test_scaling_experiment_random_branch():
-    table = mp.scaling_experiment(8, 2, "random", 60, seed=6)
-    assert [r.size_x for r in table.rows] == [1, 2, 3, 4]
-    for r in table.rows:
-        assert abs(r.mean_entropy - r.reference) < 0.05
-    means = [r.mean_entropy for r in table.rows]
-    assert all(a < b for a, b in zip(means, means[1:]))  # volume-law growth
-
-
-def test_scaling_experiment_mps_branch():
-    table = mp.scaling_experiment(20, 2, 4, 10, seed=7)
-    for r in table.rows:
-        assert r.max_entropy <= np.log(4) + 1e-12
-        assert r.reference == pytest.approx(np.log(4))
+def test_random_mps_bond_entropies_stay_below_ln_bond():
+    # a bond of dimension D carries at most D Schmidt weights: S <= ln D
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        m = mp.random_mps(20, 2, 4, rng.integers(0, 2 ** 63))
+        for bond in range(19):
+            assert mp.entanglement_entropy(m, bond) <= np.log(4) + 1e-12
 
 
 def test_mps_file_round_trip(tmp_path):

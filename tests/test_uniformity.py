@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,3 +200,74 @@ def test_uniformity_is_lu_invariant(source, sites, seed):
     assert un.k_uniform_level(rotated) == un.k_uniform_level(s)
     if ame is not None:
         assert cd.knill_laflamme_check(rotated, 1).passed
+
+
+# The per-measure subset loops that uniformity_report replaced, kept verbatim
+# as references for its one scan.
+def _subset_gram(state, sites):
+    M = st._matricize(state, sites)
+    return M @ M.conj().T
+
+
+def _reference_q_measure(state, k):
+    K = state.num_sites
+    if not 1 <= k <= K // 2:
+        raise ValueError(f"k must satisfy 1 <= k <= {K // 2}")
+    if len(set(state.dims)) != 1:
+        raise ValueError("Q_k needs equal local dimensions")
+    n = state.dims[0]
+    purities = [float(np.sum(np.abs(_subset_gram(state, sub)) ** 2))
+                for sub in combinations(range(K), k)]
+    nk = float(n) ** k
+    return float(nk / (nk - 1.0) * (1.0 - np.mean(purities)))
+
+
+def _reference_k_uniform_level(state, tol=un.KUNIFORM_TOL):
+    K = state.num_sites
+    level = 0
+    for k in range(1, K // 2 + 1):
+        for sub in combinations(range(K), k):
+            G = _subset_gram(state, sub)
+            d = G.shape[0]
+            if np.abs(d * G - np.eye(d)).max() > tol:
+                return level
+        level = k
+    return level
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(source=hs.sampled_from(["qubits", "qutrits", "ame43", "ame52"]),
+       sites=hs.integers(1, 7), max_k=hs.integers(0, 7),
+       tol=hs.sampled_from([0.0, 1e-9, 1e-3, 0.5]), seed=hs.integers(0, 2 ** 32 - 1))
+def test_uniformity_report_equals_the_reference_loops(source, sites, max_k, tol, seed):
+    ame = {"ame43": un.ame43_state, "ame52": un.ame52_state}.get(source)
+    if ame is not None:
+        rng = np.random.default_rng(seed)
+        s = ame()
+        s = st.apply_local(s, [st.haar_unitary(d, rng) for d in s.dims])
+    else:
+        s = st.random_state(((2,) if source == "qubits" else (3,)) * sites, seed)
+    K = s.num_sites
+    rep = un.uniformity_report(s, tol, max_k)
+    level = _reference_k_uniform_level(s, tol)
+    assert rep.q_values == tuple(_reference_q_measure(s, k)
+                                 for k in range(1, min(max_k, K // 2) + 1))
+    assert rep.k_uniform_level == level
+    assert rep.is_ame == (K >= 2 and level == K // 2)
+    if max_k == K // 2:
+        assert rep == un.uniformity_report(s, tol)
+    for k in range(1, K // 2 + 1):
+        assert un.q_measure(s, k) == _reference_q_measure(s, k)
+    assert un.k_uniform_level(s, tol) == level
+
+
+def test_uniformity_report_refuses_a_scan_over_the_work_budget():
+    s = st.random_state((2,) * 16, 0)
+    with pytest.raises(ValueError) as refusal:
+        un.uniformity_report(s)
+    message = str(refusal.value)
+    assert "\n" not in message
+    assert message == ("the subset scan needs 3.6e+11 multiply-adds, over the budget "
+                       "of 1e+11; lower --max-k")
+    rep = un.uniformity_report(s, max_k=3)
+    assert len(rep.q_values) == 3 and rep.k_uniform_level == 0
