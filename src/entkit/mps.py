@@ -649,4 +649,3 @@ def dmrg_ground_state(ham: NnHamiltonian, max_bond: int, tol: float = 1e-10,
     return GroundStateResult(energy=history[-1], mps=final,
                              rayleigh_history=tuple(history),
                              converged=converged, num_sweeps=sweeps_done)
-
