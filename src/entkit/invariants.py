@@ -12,6 +12,7 @@ close the gap), so nothing here claims to decide LU orbits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,40 +238,192 @@ def slocc_classify3(state: PureState, tol: float = DET3_CLASS_TOL) -> SloccClass
                       singular_values=svals)
 
 
+def _sphere_grid():
+    """Bloch vectors of a 24x48 (theta, phi) grid, row by row, and the 8 neighbours of each.
+
+    phi wraps around; a neighbour beyond the first or last theta row is given
+    as the point itself.
+    """
+    theta = (np.arange(24) + 0.5) * np.pi / 24
+    phi = np.arange(48) * np.pi / 24
+    sin = np.sin(theta)[:, None]
+    n = np.stack(np.broadcast_arrays(sin * np.cos(phi), sin * np.sin(phi), np.cos(theta)[:, None]),
+                 axis=-1).reshape(-1, 3)
+    rows, cols = np.divmod(np.arange(24 * 48), 48)
+    neighbours = np.stack([np.where((rows + di >= 0) & (rows + di < 24),
+                                    (rows + di) * 48 + (cols + dj) % 48, rows * 48 + cols)
+                           for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj], axis=1)
+    return n, neighbours
+
+
+_GRID_N, _GRID_NEIGHBOURS = _sphere_grid()
+_GRID_EARLIER = _GRID_NEIGHBOURS < np.arange(len(_GRID_N))[:, None]
+# n and its quadratic monomials xx, yy, zz, 2xy, 2xz, 2yz: |det M|^2 over the grid is one product
+_GRID_MONOMIALS = np.column_stack([_GRID_N, _GRID_N ** 2,
+                                   2 * _GRID_N[:, [0, 0, 1]] * _GRID_N[:, [1, 2, 2]]])
+# F^2 - 4|det M|^2 at or below this times F^2 is rounding: the singular values of M coincide
+_ROOT_ZERO_TOL = 1e-14
+
+
+def _bloch_coefficients(T: np.ndarray):
+    """F = f0 + f.n and |det M|^2 = g0 + g.n + n.G.n over site A's Bloch vector n.
+
+    M(x) = x0* T[0] + x1* T[1] and x x^dag = (1 + n.sigma) / 2.  F = ||M||_F^2 =
+    x^dag A x with A = T_A T_A^dag for the 2x4 matrix T_A, so f0 = tr A / 2 and
+    f_k = tr(A sigma_k) / 2.  det M = d0 x0*^2 + c x0* x1* + d1 x1*^2 with
+    d_i = det T[i] and c = det(T[0] + T[1]) - d0 - d1, and |det M|^2 is linear in
+    the products of two entries of x x^dag, hence quadratic in n.  Returns python
+    floats f0, (fx, fy, fz), g0, (gx, gy, gz), (Gxx, Gyy, Gzz, Gxy, Gxz, Gyz).
+    """
+    a0, a1, a2, a3, b0, b1, b2, b3 = T.ravel().tolist()
+    A0 = abs(a0) ** 2 + abs(a1) ** 2 + abs(a2) ** 2 + abs(a3) ** 2
+    A1 = abs(b0) ** 2 + abs(b1) ** 2 + abs(b2) ** 2 + abs(b3) ** 2
+    A01 = (a0 * b0.conjugate() + a1 * b1.conjugate() + a2 * b2.conjugate()
+           + a3 * b3.conjugate())
+    d0, d1 = a0 * a3 - a1 * a2, b0 * b3 - b1 * b2
+    c = a0 * b3 + b0 * a3 - a1 * b2 - b1 * a2
+    p, q, r = abs(d0) ** 2, abs(c) ** 2, abs(d1) ** 2
+    u, v, w = d0 * c.conjugate(), d0 * d1.conjugate(), c * d1.conjugate()
+    return ((A0 + A1) / 2, (A01.real, -A01.imag, (A0 - A1) / 2),
+            (p + q + r) / 4, ((u.real + w.real) / 2, -(u.imag + w.imag) / 2, (p - r) / 2),
+            (v.real / 2, -v.real / 2, (p - q + r) / 4, -v.imag / 2,
+             (u.real - w.real) / 4, (w.imag - u.imag) / 4))
+
+
+def _newton_on_sphere(n, f0, f, g0, g, G):
+    """A local maximum of h = F + sqrt(F^2 - 4|det M|^2) over unit n, from n.
+
+    Riemannian Newton steps in the tangent plane with the closed-form gradient
+    and Hessian of h, retracted by normalizing (Absil, Mahony and Sepulchre,
+    Optimization Algorithms on Matrix Manifolds (2008), ch. 6).  Where the 2x2
+    Hessian is not negative definite (its larger eigenvalue is above -1e-9 f0),
+    the step is Newton's across the other eigenvector if h is flat along this
+    one, as along W's circle of maxima, and otherwise a gradient step halved
+    until h gains (Armijo).  A root at rounding level (_ROOT_ZERO_TOL) counts as
+    0, so that h = F there.  Stops on a step below 1e-15, or on one below 1e-10
+    that is no shorter than the step before: rounding sets it.  At most 100
+    steps.  Returns (n, h), in python floats.
+    """
+    fx, fy, fz = f
+    gx, gy, gz = g
+    Gxx, Gyy, Gzz, Gxy, Gxz, Gyz = G
+
+    def terms(x, y, z):
+        Gn = (Gxx * x + Gxy * y + Gxz * z, Gxy * x + Gyy * y + Gyz * z,
+              Gxz * x + Gyz * y + Gzz * z)
+        F = f0 + fx * x + fy * y + fz * z
+        disc = F * F - 4 * (g0 + gx * x + gy * y + gz * z + x * Gn[0] + y * Gn[1] + z * Gn[2])
+        return F, (math.sqrt(disc) if disc > _ROOT_ZERO_TOL * F * F else 0.0), Gn
+
+    def retract(x, y, z):
+        norm = math.sqrt(x * x + y * y + z * z)
+        return x / norm, y / norm, z / norm
+
+    nx, ny, nz = n
+    last = math.inf
+    for _ in range(100):
+        F, root, Gn = terms(nx, ny, nz)
+        h = F + root
+        # orthonormal tangent basis e, e' = n x e
+        if nx * nx + ny * ny >= 0.5:
+            rho = math.hypot(nx, ny)
+            ex, ey, ez = -ny / rho, nx / rho, 0.0
+        else:
+            rho = math.hypot(nx, nz)
+            ex, ey, ez = nz / rho, 0.0, -nx / rho
+        kx, ky, kz = ny * ez - nz * ey, nz * ex - nx * ez, nx * ey - ny * ex
+        fe, fk = fx * ex + fy * ey + fz * ez, fx * kx + fy * ky + fz * kz
+        radial = fx * nx + fy * ny + fz * nz
+        if root:
+            # grad root = (F f - 2 grad D) / root with grad D = g + 2 G n, and
+            # Hess root = (f f^T - 4 G - grad root grad root^T) / root
+            sx = (F * fx - 2 * (gx + 2 * Gn[0])) / root
+            sy = (F * fy - 2 * (gy + 2 * Gn[1])) / root
+            sz = (F * fz - 2 * (gz + 2 * Gn[2])) / root
+            se, sk = sx * ex + sy * ey + sz * ez, sx * kx + sy * ky + sz * kz
+            radial += sx * nx + sy * ny + sz * nz
+            Ge = (Gxx * ex + Gxy * ey + Gxz * ez, Gxy * ex + Gyy * ey + Gyz * ez,
+                  Gxz * ex + Gyz * ey + Gzz * ez)
+            Gk = (Gxx * kx + Gxy * ky + Gxz * kz, Gxy * kx + Gyy * ky + Gyz * kz,
+                  Gxz * kx + Gyz * ky + Gzz * kz)
+            Gee = Ge[0] * ex + Ge[1] * ey + Ge[2] * ez
+            Gek = Ge[0] * kx + Ge[1] * ky + Ge[2] * kz
+            Gkk = Gk[0] * kx + Gk[1] * ky + Gk[2] * kz
+            g1, g2 = fe + se, fk + sk
+            h11 = (fe * fe - 4 * Gee - se * se) / root - radial
+            h12 = (fe * fk - 4 * Gek - se * sk) / root
+            h22 = (fk * fk - 4 * Gkk - sk * sk) / root - radial
+        else:
+            g1, g2, h11, h12, h22 = fe, fk, -radial, 0.0, -radial
+        mean, radius = (h11 + h22) / 2, math.hypot((h11 - h22) / 2, h12)
+        # (c, s): the eigenvector of the larger Hessian eigenvalue mean + radius
+        angle = math.atan2(2 * h12, h11 - h22) / 2
+        c, s = math.cos(angle), math.sin(angle)
+        if mean + radius < -1e-9 * f0:
+            det = h11 * h22 - h12 * h12
+            v1, v2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
+        elif abs(g1 * c + g2 * s) <= 1e-14 * f0 and mean - radius < -1e-9 * f0:
+            # flat along (c, s), as along a circle of maxima: Newton across it alone
+            across = (g2 * c - g1 * s) / (radius - mean)
+            v1, v2 = -across * s, across * c
+        else:
+            v1 = v2 = 0.0
+            slope = math.hypot(g1, g2)
+            t = np.pi / 24 / slope if slope > 1e-14 * f0 else 0.0
+            while t * slope >= 1e-15:
+                trial = terms(*retract(nx + t * (g1 * ex + g2 * kx), ny + t * (g1 * ey + g2 * ky),
+                                       nz + t * (g1 * ez + g2 * kz)))
+                if trial[0] + trial[1] >= h + 1e-4 * t * slope * slope:
+                    v1, v2 = t * g1, t * g2
+                    break
+                t /= 2
+        nx, ny, nz = retract(nx + v1 * ex + v2 * kx, ny + v1 * ey + v2 * ky, nz + v1 * ez + v2 * kz)
+        step = math.hypot(v1, v2)
+        if step < 1e-15 or last <= step < 1e-10:
+            break
+        last = step
+    return (nx, ny, nz), h
+
+
 def _closest_product_state(T: np.ndarray):
     """Rank-one approximation of a 2x2x2 tensor as a search over site A's Bloch sphere.
 
     Returns (local unit vectors, |overlap|).  For a unit vector x on site A
     the best y, z give |<x y z|T>| = sigma_max(M(x)) with M(x) = sum_i x_i* T[i]
-    (Wei and Goldbart, PRA 68, 042307 (2003)).  The search starts at the first
-    maximum of sigma_max^2 over a fixed 24x48 (theta, phi) grid of x, where
-    2 sigma_max^2 = F + sqrt(F^2 - 4|det M|^2) with F = ||M||_F^2.  Each step
-    takes the top singular pair (y, z) of M(x) and sets x to T contracted with
-    y*, z*, normalized: the alternating iteration with sites B and C solved
-    jointly.  <x|new x> = sigma_max > 0, so x keeps its phase.  The search
-    stops when the a-posteriori distance to the fixed point of the linearly
-    converging steps, s^2 / (s_prev - s) for successive steps s_prev > s
-    (s_prev = inf before the first), is below 1e-14 and the last step is
-    below 1e-12 (at most 4096 steps).
+    (Wei and Goldbart, PRA 68, 042307 (2003)), and 2 sigma_max^2 = F +
+    sqrt(F^2 - 4|det M|^2) with F = ||M||_F^2 is an explicit function of the
+    Bloch vector n of x (_bloch_coefficients).  It is evaluated on a fixed 24x48
+    (theta, phi) grid, and a Newton search on the sphere (_newton_on_sphere)
+    starts from every grid point at or above its 8 neighbours; on a plateau of
+    equal values, only from its earliest point.  The largest result wins, the
+    earliest one within 1e-15.  One SVD of M(x) then gives y and z.
     """
-    theta = ((np.arange(24) + 0.5) * np.pi / 24)[:, None]
-    phi = np.arange(48) * np.pi / 24
-    grid = np.stack(np.broadcast_arrays(np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phi)),
-                    axis=-1).reshape(-1, 2)
-    M = np.einsum("gi,ijk->gjk", grid.conj(), T)
-    F = np.sum(np.abs(M) ** 2, axis=(1, 2))
-    det = np.abs(M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0])
-    x = grid[np.argmax(F + np.sqrt(np.maximum(F * F - 4 * det * det, 0.0)))]
-    last = np.inf
-    for _ in range(4096):
-        U, _, Vh = np.linalg.svd(np.tensordot(x.conj(), T, 1))
-        w = np.einsum("ijk,j,k->i", T, U[:, 0].conj(), Vh[0].conj())
-        w /= np.linalg.norm(w)
-        step = float(np.linalg.norm(w - x))
-        x = w
-        if step < 1e-12 and step * step < 1e-14 * (last - step):
-            break
-        last = step
+    f0, f, g0, g, G = _bloch_coefficients(T)
+    F = f0 + _GRID_N @ f
+    grid = F + np.sqrt(np.maximum(F * F - 4 * (g0 + _GRID_MONOMIALS @ (*g, *G)), 0.0))
+    # 3x3 maximum around every point: along phi with wrap-around, then along theta
+    rows = grid.reshape(24, 48)
+    wrapped = np.concatenate([rows[:, -1:], rows, rows[:, :1]], axis=1)
+    across = np.maximum(np.maximum(wrapped[:, :-2], wrapped[:, 1:-1]), wrapped[:, 2:])
+    around = across.copy()
+    np.maximum(around[1:], across[:-1], out=around[1:])
+    np.maximum(around[:-1], across[1:], out=around[:-1])
+    starts = np.flatnonzero(rows == around)
+    if len(starts) > 1:
+        tied = grid[_GRID_NEIGHBOURS[starts]] == grid[starts, None]
+        starts = starts[~(tied & _GRID_EARLIER[starts]).any(axis=1)]
+    best, best_h = None, -math.inf
+    for start in starts:
+        n, h = _newton_on_sphere(_GRID_N[start].tolist(), f0, f, g0, g, G)
+        if h > best_h + 1e-15:
+            best, best_h = n, h
+    nx, ny, nz = best
+    if nz >= 0:
+        x0 = math.sqrt((1 + nz) / 2)
+        x = np.array([x0, complex(nx, ny) / (2 * x0)])
+    else:
+        x1 = math.sqrt((1 - nz) / 2)
+        x = np.array([complex(nx, -ny) / (2 * x1), x1])
     U, S, Vh = np.linalg.svd(np.tensordot(x.conj(), T, 1))
     return [x, U[:, 0], Vh[0]], float(S[0])
 

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from entkit import states as st
@@ -345,6 +345,10 @@ def _canonical_state(r, phi):
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(seed=hs.integers(0, 2 ** 32 - 1), lu_seed=hs.integers(0, 2 ** 32 - 1))
+# two grid maxima: a search from the grid's argmax alone ends on the lower one
+# in one of the two frames (overlaps 0.70932 and 0.70876, 0.70588 and 0.70589)
+@example(seed=4011443365, lu_seed=3414250896)
+@example(seed=972331553, lu_seed=3174537163)
 def test_canonical_form_is_lu_invariant(seed, lu_seed):
     s = _rand3(seed)
     rng = np.random.default_rng(lu_seed)
@@ -476,6 +480,56 @@ def _known_optimum(kind, rng):
     amps = np.zeros(8, dtype=complex)
     amps[[0b000, 0b111]] = np.cos(t), np.sin(t) * np.exp(1j * chi)
     return st.new_state((2, 2, 2), amps), max(np.cos(t), np.sin(t))
+
+
+def _alternating_closest_product_state(T):
+    """The alternating closest-product-state search, kept as a reference.
+
+    It starts at the first maximum of 2 sigma_max^2 = F + sqrt(F^2 - 4|det M|^2)
+    over the 24x48 (theta, phi) grid of x on site A, with M(x) = sum_i x_i* T[i]
+    and F = ||M||_F^2.  Each step takes the top singular pair (y, z) of M(x) and
+    sets x to T contracted with y*, z*, normalized.  It stops when the
+    a-posteriori distance to the fixed point of the linearly converging steps,
+    s^2 / (s_prev - s) for successive steps s_prev > s (s_prev = inf before the
+    first), is below 1e-14 and the last step is below 1e-12 (at most 4096 steps).
+    """
+    theta = ((np.arange(24) + 0.5) * np.pi / 24)[:, None]
+    phi = np.arange(48) * np.pi / 24
+    grid = np.stack(np.broadcast_arrays(np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phi)),
+                    axis=-1).reshape(-1, 2)
+    M = np.einsum("gi,ijk->gjk", grid.conj(), T)
+    F = np.sum(np.abs(M) ** 2, axis=(1, 2))
+    det = np.abs(M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0])
+    x = grid[np.argmax(F + np.sqrt(np.maximum(F * F - 4 * det * det, 0.0)))]
+    last = np.inf
+    for _ in range(4096):
+        U, _, Vh = np.linalg.svd(np.tensordot(x.conj(), T, 1))
+        w = np.einsum("ijk,j,k->i", T, U[:, 0].conj(), Vh[0].conj())
+        w /= np.linalg.norm(w)
+        step = float(np.linalg.norm(w - x))
+        x = w
+        if step < 1e-12 and step * step < 1e-14 * (last - step):
+            break
+        last = step
+    U, S, Vh = np.linalg.svd(np.tensordot(x.conj(), T, 1))
+    return [x, U[:, 0], Vh[0]], float(S[0])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(kind=hs.sampled_from(_STATE_KINDS), seed=hs.integers(0, 2 ** 32 - 1),
+       lu_seed=hs.integers(0, 2 ** 32 - 1))
+def test_closest_product_state_is_a_stationary_point_no_worse_than_the_alternating_search(
+        kind, seed, lu_seed):
+    rng = np.random.default_rng(lu_seed)
+    T = st.apply_local(_kind_state(kind, seed), [st.haar_unitary(2, rng) for _ in range(3)]).tensor
+    (x, y, z), ov = inv._closest_product_state(T)
+    _, ov_alt = _alternating_closest_product_state(T)
+    assert ov >= ov_alt - 1e-15
+    # the Riemannian gradient of 2 sigma_max(M(x))^2 over site A's Bloch vector
+    # is 2 |<x|w>| |w - <x|w> x| with w = T contracted with y*, z*
+    w = np.einsum("ijk,j,k->i", T, y.conj(), z.conj())
+    overlap = np.vdot(x, w)
+    assert 2 * abs(overlap) * np.linalg.norm(w - overlap * x) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None, database=None)
