@@ -113,10 +113,23 @@ def test_polytope_vertex_count_for_every_size(tmp_path, capsys, K):
     path = str(tmp_path / "ghz.state")
     st.write_state_file(path, st.ghz_state(K))
     code, lines, _ = _run(["polytope", "--state", path], capsys)
-    assert code == (2 if K == 2 else 0)  # two equal one-site spectra sit on a facet
+    assert code == 0
     assert _value(lines, "vertex_count") == str(2 ** K - K)
     if 3 <= K <= 8:
         assert _value(lines, "vertex_count") == str(len(poly.polytope_vertices(K)))
+
+
+@pytest.mark.parametrize("amps", [[1, 0, 0, 0], [1, 0, 0, 1], [0.6, 0.2, -0.3, 0.7]],
+                         ids=["product", "bell", "entangled"])
+def test_polytope_two_qubits_flag_no_boundary(tmp_path, capsys, amps):
+    # both slacks are 0 on every two-qubit state: the boundary says nothing there
+    path = str(tmp_path / "two.state")
+    st.write_state_file(path, st.new_state((2, 2), amps))
+    code, lines, _ = _run(["polytope", "--state", path], capsys)
+    assert code == 0
+    assert abs(float(_value(lines, "slack 1"))) < 1e-12
+    assert abs(float(_value(lines, "slack 2"))) < 1e-12
+    assert "boundary" not in lines
 
 
 def test_polytope_refuses_one_qubit(tmp_path, capsys):
