@@ -312,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command(sub, "stellar", _cmd_stellar)
     p = command(sub, "uniformity", _cmd_uniformity, uni.KUNIFORM_TOL)
     p.add_argument("--max-k", type=_count,
-                   help="largest Q_k to report (default K//2); k_uniform is not capped")
+                   help="largest Q_k to report (default K//2, or 0 when the local dimensions "
+                        "differ); k_uniform is not capped")
 
     codes = sub.add_parser("codes").add_subparsers(dest="subcommand", required=True)
     p = command(codes, "demo", _cmd_codes_demo, state=False)

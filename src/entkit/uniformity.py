@@ -119,16 +119,21 @@ def k_uniform_level(state: PureState, tol: float = KUNIFORM_TOL) -> int:
 
 def uniformity_report(state: PureState, tol: float = KUNIFORM_TOL,
                       max_k: int | None = None) -> UniformityReport:
-    """Q_1..Q_max_k (max_k defaults to K//2) and the k-uniformity level in one scan.
+    """Q_1..Q_max_k and the k-uniformity level in one scan.
 
+    max_k defaults to K//2, or to 0 when the local dimensions differ: Q_k is
+    defined for equal ones only, and an explicit max_k >= 1 is then refused.
     Each k-site Gram is formed once: its purity feeds Q_k when k <= max_k, and
     it gets the isometry test while the level is still k - 1.  A layer above
     max_k runs only while the level can still grow.  Refuses, before it starts,
     any layer that takes the scan's multiply-adds past WORK_BUDGET.
     """
     K, dims = state.num_sites, state.dims
-    max_k = K // 2 if max_k is None else min(max_k, K // 2)
-    if max_k >= 1 and len(set(dims)) != 1:
+    equal_dims = len(set(dims)) == 1
+    if max_k is None:
+        max_k = K // 2 if equal_dims else 0
+    max_k = min(max_k, K // 2)
+    if max_k >= 1 and not equal_dims:
         raise ValueError("Q_k needs equal local dimensions")
     # layer k costs N * e_k(dims): the x^(K-k) coefficient of prod_i (x + d_i)
     layer_work = math.prod(dims) * np.poly(np.negative(dims))

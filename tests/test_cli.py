@@ -320,6 +320,20 @@ def test_max_k_zero_emits_no_q_lines(tmp_path, capsys):
     assert _value(lines, "k_uniform") == "2"
 
 
+def test_uniformity_on_unequal_dims_reports_the_level_without_q_lines(tmp_path, capsys):
+    # a qubit Bell pair on sites 1, 3 and a qutrit one on sites 2, 4: 1-uniform
+    amps = np.einsum("ac,bd->abcd", np.eye(2), np.eye(3)).ravel()
+    path = str(tmp_path / "dims2323.state")
+    st.write_state_file(path, st.new_state((2, 3, 2, 3), amps))
+    code, lines, _ = _run(["uniformity", "--state", path], capsys)
+    assert code == 0
+    assert not any(key.startswith("Q") for key in lines)
+    assert _value(lines, "k_uniform") == "1"
+    assert _value(lines, "is_ame") == "false"
+    assert cli.main(["uniformity", "--state", path, "--max-k", "1"]) == 1
+    assert capsys.readouterr().err == "entkit: error: Q_k needs equal local dimensions\n"
+
+
 @pytest.mark.parametrize("argv, name, body, message", [
     (["codes", "demo", "--code"], "bad.code", "7 4\n1000011\n01x0101\n",
      "line 3: row '01x0101' is not a bitstring of length 7"),
