@@ -257,7 +257,6 @@ def _sphere_grid():
 
 
 _GRID_N, _GRID_NEIGHBOURS = _sphere_grid()
-_GRID_EARLIER = _GRID_NEIGHBOURS < np.arange(len(_GRID_N))[:, None]
 # n and its quadratic monomials xx, yy, zz, 2xy, 2xz, 2yz: |det M|^2 over the grid is one product
 _GRID_MONOMIALS = np.column_stack([_GRID_N, _GRID_N ** 2,
                                    2 * _GRID_N[:, [0, 0, 1]] * _GRID_N[:, [1, 2, 2]]])
@@ -284,6 +283,8 @@ def _bloch_coefficients(T: np.ndarray):
     c = a0 * b3 + b0 * a3 - a1 * b2 - b1 * a2
     p, q, r = abs(d0) ** 2, abs(c) ** 2, abs(d1) ** 2
     u, v, w = d0 * c.conjugate(), d0 * d1.conjugate(), c * d1.conjugate()
+    # |det M|^2 = p s^2 + q s t + r t^2 + 2 Re(u s z + v z^2 + w t z) with
+    # s, t = (1 +- nz) / 2 and z = (nx + i ny) / 2, expanded in n
     return ((A0 + A1) / 2, (A01.real, -A01.imag, (A0 - A1) / 2),
             (p + q + r) / 4, ((u.real + w.real) / 2, -(u.imag + w.imag) / 2, (p - r) / 2),
             (v.real / 2, -v.real / 2, (p - q + r) / 4, -v.imag / 2,
@@ -410,13 +411,15 @@ def _closest_product_state(T: np.ndarray):
     np.maximum(around[:-1], across[1:], out=around[:-1])
     starts = np.flatnonzero(rows == around)
     if len(starts) > 1:
-        tied = grid[_GRID_NEIGHBOURS[starts]] == grid[starts, None]
-        starts = starts[~(tied & _GRID_EARLIER[starts]).any(axis=1)]
+        neighbours = _GRID_NEIGHBOURS[starts]
+        tied_earlier = (grid[neighbours] == grid[starts, None]) & (neighbours < starts[:, None])
+        starts = starts[~tied_earlier.any(axis=1)]
     best, best_h = None, -math.inf
     for start in starts:
         n, h = _newton_on_sphere(_GRID_N[start].tolist(), f0, f, g0, g, G)
         if h > best_h + 1e-15:
             best, best_h = n, h
+    # x with x x^dag = (1 + n.sigma) / 2, from its larger component
     nx, ny, nz = best
     if nz >= 0:
         x0 = math.sqrt((1 + nz) / 2)
